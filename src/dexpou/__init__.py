@@ -14,7 +14,6 @@ from .errors import (
     TooShort,
 )
 from .model import (
-    DerivedParams,
     ModelParams,
     StationaryMoments,
     analytic_moments,

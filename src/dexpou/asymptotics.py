@@ -26,7 +26,7 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.stats import norm
 
 from .errors import SingularJacobian, TooShort
-from .estimate import EstimationResult
+from .estimate import EstimationResult, observable_series
 from .model import (
     ModelParams,
     PARAM_ORDER,
@@ -79,17 +79,6 @@ class ConfidenceIntervals:
     level: float
     intervals: dict
     warnings: tuple = ()
-
-
-def observable_series(path: SamplePath) -> np.ndarray:
-    """The four aligned series (X_j, X_j^2, X_j^3, X_j X_{j+1}), j = 1..n-1,
-    as an array of shape (4, n-1).  Their means are exactly the sample
-    moments used by the estimator."""
-    x = path.values
-    if len(x) < 2:
-        raise ValueError(f"path must have >= 2 observations, got {len(x)}")
-    head = x[:-1]
-    return np.vstack([head, head**2, head**3, head * x[1:]])
 
 
 def auto_bandwidth(m: int) -> int:

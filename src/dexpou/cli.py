@@ -20,49 +20,83 @@ import csv
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .asymptotics import confidence_intervals, covariance_estimate
-from .errors import DiscriminantNonpositive, EstimationError
+from .errors import EstimationError
 from .estimate import (
     FVector,
     compute_f,
     empirical_moments,
     estimate_all,
     estimate_theta,
-    g_values,
-    GRID_EPS,
+    scan_g,
 )
 from .model import ModelParams
-from .pathio import fmt, read_path_csv, write_metadata, write_path_csv
-from .simulate import SamplePath, simulate_path
+from .pathio import (
+    fmt,
+    metadata_path,
+    read_path_csv,
+    write_metadata,
+    write_path_csv,
+)
+from .simulate import simulate_path
 
 __all__ = ["main"]
 
 TABLE_N_VALUES = [50, 100, 200, 300, 400, 500, 600, 1000, 2000, 3000]
 
-DEFAULTS = {
-    "simulate": {
-        "theta": 2.0, "p": 0.6, "eta": 1.2, "phi": 1.6, "lam": 1.0,
-        "sigma": 1.0, "h": 0.02, "n": 3000, "x0": 0.0, "burn_in": None,
-        "seed": 1, "replication": 0, "out": "path.csv",
-    },
-    "estimate": {
-        "input": None, "level": 0.95, "bandwidth": None, "grid": 2001,
-        "out": None,
-    },
-    "experiment": {
-        "theta": 2.0, "p": 0.6, "eta": 1.2, "phi": 1.6, "h": 0.02,
-        "x0": 0.0, "burn_in": None, "n_values": TABLE_N_VALUES,
-        "seeds": 20, "seed": 1, "out": "experiment.csv",
-    },
-    "gcurve": {
-        "input": None, "f1": None, "f2": None, "f3": None,
-        "grid": 2001, "out": "gcurve.csv",
-    },
+
+def _out(default):
+    """The ``--out`` option with a per-subcommand default."""
+    return ("--out", str, default, "output path")
+
+
+# Options as (name, type, default, help); a name without leading dashes is
+# positional.  The parser and the option merge are both derived from these
+# tables.  PATH_OPTIONS are shared by the two subcommands that simulate.
+PATH_OPTIONS = (
+    ("--theta", float, 2.0, None),
+    ("--p", float, 0.6, None),
+    ("--eta", float, 1.2, None),
+    ("--phi", float, 1.6, None),
+    ("--h", float, 0.02, None),
+    ("--x0", float, 0.0, None),
+    ("--burn-in", int, None, None),
+    ("--seed", int, 1, None),
+)
+OPTIONS = {
+    "simulate": PATH_OPTIONS + (
+        ("--lam", float, 1.0, None),
+        ("--sigma", float, 1.0, None),
+        ("--n", int, 3000, None),
+        ("--replication", int, 0, None),
+        _out("path.csv"),
+    ),
+    "estimate": (
+        ("input", str, None, "two-column t,x CSV with constant spacing"),
+        ("--level", float, 0.95, None),
+        ("--bandwidth", int, None, None),
+        ("--grid", int, 2001, None),
+        _out(None),
+    ),
+    "experiment": PATH_OPTIONS + (
+        ("--n-values", str, TABLE_N_VALUES, "comma-separated path lengths"),
+        ("--seeds", int, 20, "replications per length"),
+        _out("experiment.csv"),
+    ),
+    "gcurve": (
+        ("--input", str, None, "t,x CSV to compute f statistics from"),
+        ("--f1", float, None, None),
+        ("--f2", float, None, None),
+        ("--f3", float, None, None),
+        ("--grid", int, 2001, None),
+        _out("gcurve.csv"),
+    ),
 }
 
 
@@ -88,57 +122,29 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="simulate a path to CSV")
-    for name in ("theta", "p", "eta", "phi", "lam", "sigma", "h", "x0"):
-        sim.add_argument(f"--{name}", type=float)
-    sim.add_argument("--n", type=int)
-    sim.add_argument("--burn-in", dest="burn_in", type=int)
-    sim.add_argument("--seed", type=int)
-    sim.add_argument("--replication", type=int)
-    _common(sim)
-    sim.set_defaults(handler=cmd_simulate)
-
-    est = sub.add_parser("estimate", help="calibrate a t,x CSV")
-    est.add_argument("input", help="two-column t,x CSV with constant spacing")
-    est.add_argument("--level", type=float)
-    est.add_argument("--bandwidth", type=int)
-    est.add_argument("--grid", type=int)
-    _common(est)
-    est.set_defaults(handler=cmd_estimate)
-
-    exp = sub.add_parser("experiment", help="convergence table over (N, seed)")
-    for name in ("theta", "p", "eta", "phi", "h", "x0"):
-        exp.add_argument(f"--{name}", type=float)
-    exp.add_argument("--burn-in", dest="burn_in", type=int)
-    exp.add_argument("--n-values", dest="n_values",
-                     help="comma-separated path lengths")
-    exp.add_argument("--seeds", type=int, help="replications per length")
-    exp.add_argument("--seed", type=int)
-    _common(exp)
-    exp.set_defaults(handler=cmd_experiment)
-
-    gc = sub.add_parser("gcurve", help="export g(p) over a grid")
-    gc.add_argument("--input", help="t,x CSV to compute f statistics from")
-    gc.add_argument("--f1", type=float)
-    gc.add_argument("--f2", type=float)
-    gc.add_argument("--f3", type=float)
-    gc.add_argument("--grid", type=int)
-    _common(gc)
-    gc.set_defaults(handler=cmd_gcurve)
+    handlers = {
+        "simulate": (cmd_simulate, "simulate a path to CSV"),
+        "estimate": (cmd_estimate, "calibrate a t,x CSV"),
+        "experiment": (cmd_experiment, "convergence table over (N, seed)"),
+        "gcurve": (cmd_gcurve, "export g(p) over a grid"),
+    }
+    for command, (handler, summary) in handlers.items():
+        cmd = sub.add_parser(command, help=summary)
+        # flags default to None so that _merge_options can tell them apart
+        for name, kind, _, help_text in OPTIONS[command]:
+            cmd.add_argument(name, type=kind, help=help_text)
+        cmd.add_argument("--config", help="JSON file with option defaults")
+        cmd.set_defaults(handler=handler)
     return parser
-
-
-def _common(sub) -> None:
-    sub.add_argument("--config", help="JSON file with option defaults")
-    sub.add_argument("--out", help="output path")
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
     """Defaults, overlaid by the config file, overlaid by explicit flags."""
-    defaults = DEFAULTS[args.command]
+    # '--burn-in' is stored under 'burn_in', as argparse does
+    defaults = {name.lstrip("-").replace("-", "_"): default
+                for name, _, default, _ in OPTIONS[args.command]}
     merged = dict(defaults)
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
@@ -151,7 +157,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
             )
         merged.update(loaded)
     for key in defaults:
-        value = getattr(args, key, None)
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     if isinstance(merged.get("n_values"), str):
@@ -204,8 +210,6 @@ def _require(condition: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(options: dict) -> int:
-    _require(options["n"] >= 2, f"n must be >= 2, got {options['n']}")
-    _require(options["h"] > 0, f"h must be > 0, got {options['h']}")
     params = ModelParams(theta=options["theta"], eta=options["eta"],
                          phi=options["phi"], p=options["p"],
                          lam=options["lam"], sigma=options["sigma"])
@@ -221,7 +225,6 @@ def cmd_simulate(options: dict) -> int:
 
 
 def cmd_estimate(options: dict) -> int:
-    _require(options["grid"] >= 3, f"grid must be >= 3, got {options['grid']}")
     _require(0 < options["level"] < 1,
              f"level must be in (0, 1), got {options['level']}")
     path = read_path_csv(options["input"])
@@ -280,11 +283,8 @@ def cmd_experiment(options: dict) -> int:
                              n=n_max, seed=options["seed"],
                              burn_in=options["burn_in"], replication=j)
         for n in n_values:
-            sub = SamplePath(h=full.h, values=full.values[:n], x0=full.x0,
-                             seed=full.seed, replication=j,
-                             burn_in=full.burn_in)
             try:
-                r = estimate_all(sub)
+                r = estimate_all(replace(full, values=full.values[:n]))
                 cells[(n, j)] = (r.p_hat, r.eta_hat, r.phi_hat, r.theta_hat, "")
             except EstimationError as exc:
                 cells[(n, j)] = (None, None, None, None, type(exc).__name__)
@@ -311,42 +311,30 @@ def cmd_experiment(options: dict) -> int:
                 writer.writerow([n, "iqr"] + [fmt(v) for v in q75 - q25] + [""])
             else:
                 writer.writerow([n, "median", "", "", "", "", "all cells failed"])
-    meta = Path(out).with_name(Path(out).stem + ".meta.json")
-    meta.write_text(json.dumps(_jsonable({"provenance": _provenance(options)}),
-                               indent=2, sort_keys=True) + "\n")
+    _write_json({"provenance": _provenance(options)}, metadata_path(out))
     print(out)
     return 0
 
 
 def cmd_gcurve(options: dict) -> int:
-    _require(options["grid"] >= 3, f"grid must be >= 3, got {options['grid']}")
-    f_given = [options[k] is not None for k in ("f1", "f2", "f3")]
     if options["input"] is not None:
         path = read_path_csv(options["input"])
         moments = empirical_moments(path)
         f = compute_f(moments, estimate_theta(moments))
-    elif all(f_given):
+    elif all(options[k] is not None for k in ("f1", "f2", "f3")):
         f = FVector(f1=options["f1"], f2=options["f2"], f3=options["f3"],
                     theta_hat=float("nan"))
-        if f.discriminant <= 0:
-            raise DiscriminantNonpositive(
-                f"f2 - f1^2 = {f.discriminant:.6e} <= 0"
-            )
     else:
         raise ValueError("gcurve needs either --input or all of --f1/--f2/--f3")
 
-    grid = np.linspace(GRID_EPS, 1.0 - GRID_EPS, options["grid"])
-    gv = g_values(grid, f)
-    gprime = np.gradient(gv, grid)
-    signs = np.sign(gv)
-    count = int(np.sum(signs[:-1] * signs[1:] < 0) + np.sum(signs == 0))
-
+    scan = scan_g(f, options["grid"])
+    gprime = np.gradient(scan.g, scan.grid)
     with open(options["out"], "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["p", "g", "g_prime"])
-        for p, g, gp in zip(grid, gv, gprime):
+        for p, g, gp in zip(scan.grid, scan.g, gprime):
             writer.writerow([fmt(p), fmt(g), fmt(gp)])
-    print(f"sign_change_count={count}")
+    print(f"sign_change_count={len(scan.brackets)}")
     return 0
 
 

@@ -39,6 +39,8 @@ __all__ = [
     "FVector",
     "RootScan",
     "EstimationResult",
+    "GScan",
+    "observable_series",
     "empirical_moments",
     "empirical_char_fn",
     "empirical_joint_char_fn",
@@ -46,6 +48,7 @@ __all__ = [
     "compute_f",
     "g_of_p",
     "g_values",
+    "scan_g",
     "solve_p",
     "recover_rho_xi",
     "estimate_from_moments",
@@ -98,6 +101,17 @@ class FVector:
 
 
 @dataclass(frozen=True)
+class GScan:
+    """g sampled on the search grid, and one ``(lo, hi)`` bracket per sign
+    change: neighbouring grid points where g strictly changes sign, or
+    ``(p, p)`` at a grid point where g is exactly zero."""
+
+    grid: np.ndarray
+    g: np.ndarray
+    brackets: tuple
+
+
+@dataclass(frozen=True)
 class RootScan:
     """Outcome of the g(p) = 0 scan-and-refine search."""
 
@@ -135,20 +149,29 @@ class EstimationResult:
         }
 
 
-def empirical_moments(path: SamplePath) -> EmpiricalMoments:
-    """Sample moments of the path, all averaged over j = 1..n-1."""
+def observable_series(path: SamplePath) -> np.ndarray:
+    """The four aligned series (X_j, X_j^2, X_j^3, X_j X_{j+1}), j = 1..n-1,
+    as an array of shape (4, n-1).  Their row means are the sample moments
+    used by the estimator."""
     x = path.values
     if len(x) < 2:
         raise ValueError(f"path must have >= 2 observations, got {len(x)}")
     head = x[:-1]
-    return EmpiricalMoments(
-        mu1=float(np.mean(head)),
-        mu2=float(np.mean(head**2)),
-        mu3=float(np.mean(head**3)),
-        mu4=float(np.mean(head * x[1:])),
-        n_used=len(x) - 1,
-        h=path.h,
-    )
+    # filled in place: no temporaries beside the (4, n-1) result
+    series = np.empty((4, len(head)))
+    series[0] = head
+    np.square(head, out=series[1])
+    np.power(head, 3, out=series[2])
+    np.multiply(head, x[1:], out=series[3])
+    return series
+
+
+def empirical_moments(path: SamplePath) -> EmpiricalMoments:
+    """Sample moments of the path, all averaged over j = 1..n-1."""
+    series = observable_series(path)
+    mu1, mu2, mu3, mu4 = series.mean(axis=1).tolist()
+    return EmpiricalMoments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4,
+                            n_used=series.shape[1], h=path.h)
 
 
 def empirical_char_fn(path: SamplePath, u):
@@ -184,11 +207,12 @@ def estimate_theta(moments: EmpiricalMoments) -> float:
     """
     var = moments.mu2 - moments.mu1**2
     autocov = moments.mu4 - moments.mu1**2
-    if var <= 0:
+    # written as "not x > y" so that NaN moments fail the first check
+    if not var > 0:
         raise NonPositiveVariance(f"mu2 - mu1^2 = {var:.6e} <= 0")
-    if autocov <= 0:
+    if not autocov > 0:
         raise NonPositiveAutocov(f"mu4 - mu1^2 = {autocov:.6e} <= 0")
-    if var <= autocov:
+    if not var > autocov:
         raise NonPositiveTheta(
             f"(mu2 - mu1^2)/(mu4 - mu1^2) = {var / autocov:.6f} <= 1"
         )
@@ -234,15 +258,9 @@ def g_of_p(p: float, f: FVector) -> float:
     return float(g_values(p, f))
 
 
-def solve_p(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> RootScan:
-    """Scan g on a uniform grid over [1e-6, 1 - 1e-6], count strict sign
-    changes, and refine the bracketing interval with Brent's method.
-
-    Exactly one sign change is required; zero raises :class:`NoRoot` and
-    more than one raises :class:`MultipleRoots` carrying every refined root.
-    The numerical-derivative sign-constancy of g over the grid is reported
-    as a diagnostic (a constant-sign derivative certifies uniqueness).
-    """
+def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
+    """Sample g on a uniform grid over [GRID_EPS, 1 - GRID_EPS] and locate
+    its strict sign changes and exact zeros."""
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size!r}")
     if f.discriminant <= 0:
@@ -251,29 +269,38 @@ def solve_p(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> RootScan:
         )
     grid = np.linspace(GRID_EPS, 1.0 - GRID_EPS, grid_size)
     gv = g_values(grid, f)
-    dg = np.diff(gv)
+    signs = np.sign(gv)
+    crossings = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    brackets = ([(grid[i], grid[i + 1]) for i in crossings]
+                + [(grid[i], grid[i]) for i in np.flatnonzero(signs == 0)])
+    return GScan(grid=grid, g=gv, brackets=tuple(brackets))
+
+
+def solve_p(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> RootScan:
+    """Scan g with :func:`scan_g`, count its sign changes, and refine the
+    bracketing interval with Brent's method.
+
+    Exactly one sign change is required; zero raises :class:`NoRoot` and
+    more than one raises :class:`MultipleRoots` carrying every refined root.
+    The numerical-derivative sign-constancy of g over the grid is reported
+    as a diagnostic (a constant-sign derivative certifies uniqueness).
+    """
+    scan = scan_g(f, grid_size)
+    dg = np.diff(scan.g)
     g_prime_constant = bool(np.all(dg >= 0.0) or np.all(dg <= 0.0))
 
-    signs = np.sign(gv)
-    brackets = []
-    for i in np.flatnonzero(signs[:-1] * signs[1:] < 0):
-        brackets.append((grid[i], grid[i + 1]))
-    exact_hits = [float(grid[i]) for i in np.flatnonzero(signs == 0)]
-
-    roots = list(exact_hits)
-    for lo, hi in brackets:
-        roots.append(brentq(g_of_p, lo, hi, args=(f,), xtol=ROOT_WIDTH_TOL))
-    count = len(roots)
-    if count == 0:
+    roots = [lo if lo == hi else
+             brentq(g_of_p, lo, hi, args=(f,), xtol=ROOT_WIDTH_TOL)
+             for lo, hi in scan.brackets]
+    if not roots:
         raise NoRoot("g(p) has no sign change on (0, 1)")
-    if count > 1:
-        raise MultipleRoots(sorted(roots))
+    if len(roots) > 1:
+        raise MultipleRoots(roots)
 
-    p_hat = float(roots[0])
-    bracket = brackets[0] if brackets else (p_hat, p_hat)
-    return RootScan(p_hat=p_hat,
-                    bracket=(float(bracket[0]), float(bracket[1])),
-                    sign_change_count=count,
+    lo, hi = scan.brackets[0]
+    return RootScan(p_hat=float(roots[0]),
+                    bracket=(float(lo), float(hi)),
+                    sign_change_count=len(roots),
                     g_prime_sign_constant=g_prime_constant)
 
 
@@ -306,8 +333,8 @@ def estimate_from_moments(moments: EmpiricalMoments,
     rho_hat, xi_hat = recover_rho_xi(scan.p_hat, f)
     curve = None
     if keep_g_curve:
-        grid = np.linspace(GRID_EPS, 1.0 - GRID_EPS, grid_size)
-        curve = np.column_stack([grid, g_values(grid, f)])
+        g_scan = scan_g(f, grid_size)
+        curve = np.column_stack([g_scan.grid, g_scan.g])
     return EstimationResult(
         theta_hat=theta_hat,
         p_hat=scan.p_hat,

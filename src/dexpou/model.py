@@ -27,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "DerivedParams",
     "StationaryMoments",
     "stationary_char_fn",
     "joint_char_fn",
@@ -81,9 +80,6 @@ class ModelParams:
         """sigma / phi, the mean down-jump magnitude."""
         return self.sigma / self.phi
 
-    def derived(self) -> "DerivedParams":
-        return DerivedParams(rho=self.rho, xi=self.xi)
-
     def require_unit_scale(self) -> None:
         """Reject parameters outside the lam = sigma = 1 calibration mode."""
         if self.lam != 1.0 or self.sigma != 1.0:
@@ -101,22 +97,6 @@ class ModelParams:
             "lam": self.lam,
             "sigma": self.sigma,
         }
-
-
-@dataclass(frozen=True)
-class DerivedParams:
-    """Jump-size-scale reparametrization rho = sigma/eta, xi = sigma/phi."""
-
-    rho: float
-    xi: float
-
-    def __post_init__(self):
-        if not (self.rho > 0 and self.xi > 0):
-            raise ValueError("rho and xi must be > 0")
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "DerivedParams":
-        return cls(rho=params.rho, xi=params.xi)
 
 
 @dataclass(frozen=True)

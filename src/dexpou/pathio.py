@@ -7,8 +7,8 @@ burn-in, so a simulation run is fully reproducible from its outputs.
 
 Ingestion accepts any two-column ``t,x`` CSV with constant spacing; the
 spacing is inferred from the first two rows and enforced afterwards with
-tolerance ``1e-9 * h``.  Non-uniform spacing is rejected naming the first
-offending data row.
+tolerance ``1e-9 * h``.  Non-finite values and non-uniform spacing are
+rejected naming the first offending data row.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ def write_path_csv(path: SamplePath, csv_path) -> Path:
     with out.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "x"])
-        for j, x in enumerate(path.values, start=1):
-            writer.writerow([fmt(j * path.h), fmt(x)])
+        for t, x in zip(path.times, path.values):
+            writer.writerow([fmt(t), fmt(x)])
     return out
 
 
@@ -83,7 +83,7 @@ def read_path_csv(csv_path) -> SamplePath:
     """Parse a two-column ``t,x`` CSV into a :class:`SamplePath`.
 
     Raises ``ValueError`` naming the first offending data row on ragged
-    rows, non-numeric fields, or non-uniform spacing.
+    rows, non-numeric or non-finite fields, or non-uniform spacing.
     """
     src = Path(csv_path)
     times = []
@@ -103,6 +103,7 @@ def read_path_csv(csv_path) -> SamplePath:
     if len(values) < 2:
         raise ValueError(f"{src}: need at least 2 data rows, got {len(values)}")
     t = np.array(times)
+    _require_finite(t, "t", src)
     h = t[1] - t[0]
     if not h > 0:
         raise ValueError(f"{src}: row 2: non-increasing time column")
@@ -115,7 +116,19 @@ def read_path_csv(csv_path) -> SamplePath:
             f"{src}: row {row}: spacing {float(gaps[bad[0]])!r} differs from "
             f"inferred h = {float(h)!r}"
         )
-    return SamplePath(h=float(h), values=np.array(values))
+    x = np.array(values)
+    _require_finite(x, "x", src)
+    return SamplePath(h=float(h), values=x)
+
+
+def _require_finite(column: np.ndarray, name: str, src: Path) -> None:
+    bad = np.flatnonzero(~np.isfinite(column))
+    if bad.size:
+        # data row index of the first non-finite entry (1-based)
+        i = int(bad[0])
+        raise ValueError(
+            f"{src}: row {i + 1}: non-finite {name} = {float(column[i])!r}"
+        )
 
 
 def _is_numeric_row(row) -> bool:

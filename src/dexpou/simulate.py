@@ -60,6 +60,7 @@ class SamplePath:
 
     @property
     def times(self) -> np.ndarray:
+        """Observation times t_j = j * h, j = 1..n."""
         return self.h * np.arange(1, len(self.values) + 1)
 
 

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 from dexpou.cli import main
+from dexpou.errors import NoRoot
+from dexpou.estimate import solve_p
+
+from test_estimate import exact_f, no_root_f
 
 
 def run(argv):
@@ -225,6 +229,25 @@ class TestGcurveCommand:
         out = tmp_path / "g.csv"
         assert run(["gcurve", "--input", src, "--out", out]) == 0
         assert "sign_change_count=" in capsys.readouterr().out
+
+    def test_count_matches_solve_p(self, tmp_path, capsys, ref_params):
+        # gcurve reports the count of the scan solve_p refines: 0 where
+        # solve_p raises NoRoot, 1 where it finds the root
+        def count(f):
+            assert run(["gcurve", "--f1", f.f1, "--f2", f.f2, "--f3", f.f3,
+                        "--out", tmp_path / "g.csv"]) == 0
+            return capsys.readouterr().out.strip()
+
+        assert count(no_root_f(ref_params)) == "sign_change_count=0"
+        with pytest.raises(NoRoot):
+            solve_p(no_root_f(ref_params))
+        assert count(exact_f(ref_params)) == "sign_change_count=1"
+        assert solve_p(exact_f(ref_params)).sign_change_count == 1
+
+    def test_bad_grid_exits_2(self, tmp_path, capsys):
+        assert run(["gcurve", "--f1", self.F1, "--f2", self.F2, "--f3", self.F3,
+                    "--grid", 2, "--out", tmp_path / "g.csv"]) == 2
+        assert "grid" in capsys.readouterr().err
 
     def test_bad_discriminant_exits_3(self, tmp_path, capsys):
         assert run(["gcurve", "--f1", 2.0, "--f2", 1.0, "--f3", 0.0,

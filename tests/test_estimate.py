@@ -106,6 +106,13 @@ class TestEstimateTheta:
         with pytest.raises(NonPositiveTheta):
             estimate_theta(m)
 
+    def test_nan_moments_rejected_typed(self):
+        # every comparison with NaN is False, so the checks must be written
+        # as "not x > 0" for a NaN moment to fail them
+        path = SamplePath(h=H_REF, values=np.array([0.1, np.nan, 0.3, 0.2]))
+        with pytest.raises(NonPositiveVariance):
+            estimate_theta(empirical_moments(path))
+
     def test_stage_labels(self):
         assert NonPositiveVariance.stage == "theta"
         assert DiscriminantNonpositive.stage == "f"

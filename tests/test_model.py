@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dexpou import (
-    DerivedParams,
     ModelParams,
     analytic_moments,
     h_map,
@@ -45,9 +44,8 @@ class TestModelParams:
 
     def test_q_and_derived(self, ref_params):
         assert ref_params.q == pytest.approx(0.4)
-        der = DerivedParams.from_params(ref_params)
-        assert der.rho == pytest.approx(1.0 / 1.2)
-        assert der.xi == pytest.approx(1.0 / 1.6)
+        assert ref_params.rho == pytest.approx(1.0 / 1.2)
+        assert ref_params.xi == pytest.approx(1.0 / 1.6)
 
     def test_unit_scale_gate(self, ref_params):
         ref_params.require_unit_scale()

@@ -64,6 +64,18 @@ def test_nonuniform_spacing_names_first_bad_row(tmp_path):
         read_path_csv(src)
 
 
+@pytest.mark.parametrize("rows, bad_row", [
+    ("0.02,1.0\n0.04,2.0\nnan,3.0\n0.08,4.0\n", 3),   # nan t
+    ("0.02,1.0\n0.04,nan\n0.06,3.0\n0.08,4.0\n", 2),  # nan x
+    ("0.02,1.0\n0.04,2.0\n0.06,3.0\n0.08,inf\n", 4),  # inf x
+], ids=["nan-t", "nan-x", "inf-x"])
+def test_non_finite_rejected_naming_row(tmp_path, rows, bad_row):
+    src = tmp_path / "nonfinite.csv"
+    src.write_text("t,x\n" + rows)
+    with pytest.raises(ValueError, match=f"row {bad_row}: non-finite"):
+        read_path_csv(src)
+
+
 def test_ragged_row_rejected(tmp_path):
     src = tmp_path / "ragged.csv"
     src.write_text("t,x\n0.02,1.0\n0.04\n")
