@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Monte Carlo coverage study for the delta-method theta interval.
+"""Monte Carlo coverage study for the delta-method intervals.
 
 Simulates many independent paths at the reference parameters, runs the full
 calibration plus covariance pipeline on each, and reports how often the
-nominal-level interval for theta covers the truth, together with the
-normality diagnostics of the standardized first-moment statistic.
+nominal-level interval of each of p, rho, xi and theta covers the truth,
+together with the normality diagnostics of the standardized first-moment
+statistic.  A parameter whose estimated variance is negative gets no
+interval; such a replication counts as not covering and is also counted in
+``no_interval``.
 """
 
 import argparse
@@ -22,12 +25,15 @@ from dexpou import (
     simulate_path,
 )
 from dexpou.errors import EstimationError
+from dexpou.model import PARAM_ORDER
 
 
 def run(reps: int, n: int, seed: int, level: float, bandwidth) -> dict:
     params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
     truth = analytic_moments(params, 0.02)
-    covered = 0
+    truth_params = {name: getattr(params, name) for name in PARAM_ORDER}
+    covered = dict.fromkeys(PARAM_ORDER, 0)
+    no_interval = dict.fromkeys(PARAM_ORDER, 0)
     failed = 0
     standardized = []
     for rep in range(reps):
@@ -40,9 +46,12 @@ def run(reps: int, n: int, seed: int, level: float, bandwidth) -> dict:
         except EstimationError:
             failed += 1
             continue
-        lo, hi = ci.intervals["theta"]
-        if lo <= params.theta <= hi:
-            covered += 1
+        for name, value in truth_params.items():
+            if name not in ci.intervals:
+                no_interval[name] += 1
+                continue
+            lo, hi = ci.intervals[name]
+            covered[name] += lo <= value <= hi
         mu1 = result.moments.mu1
         standardized.append(
             np.sqrt(cov.n) * (mu1 - truth.m1) / np.sqrt(cov.A[0, 0])
@@ -54,7 +63,9 @@ def run(reps: int, n: int, seed: int, level: float, bandwidth) -> dict:
         "n": n,
         "level": level,
         "failed": failed,
-        "coverage": covered / ok if ok else None,
+        "coverage": {name: covered[name] / ok if ok else None
+                     for name in PARAM_ORDER},
+        "no_interval": no_interval,
         "normaltest_pvalue": float(normaltest(stat).pvalue) if ok > 20 else None,
         "standardized_std": float(stat.std()) if ok else None,
     }

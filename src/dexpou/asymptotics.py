@@ -3,10 +3,15 @@
 The moment vector obeys a central limit theorem whose 4x4 limit covariance A
 is the long-run covariance of the observable series (x, x^2, x^3, x y) over
 consecutive observation pairs: lag-0 covariance plus tapered sums of the
-lagged cross-covariances.  A is estimated with Bartlett weights
-``w_k = 1 - k/(L+1)`` up to a truncation lag L (default ``ceil(m**(1/3))``,
-user-overridable); the diagonal entries are the symmetric double sums, the
-off-diagonals the two one-sided sums.
+lagged cross-covariances, ``C(0) + sum_k w_k (C(k) + C(k)^T)`` with Bartlett
+weights ``w_k = 1 - k/(L+1)`` up to a truncation lag L (default
+``ceil(m**(1/3))``, user-overridable).
+
+The Bartlett lag window is the Fejer spectral window, so the weighted lag
+sum is taken in the frequency domain without forming any lagged
+covariance: A is the cross-periodogram of the zero-padded series weighted
+by the DFT of the lag window.  This costs one forward FFT per series and
+memory of order ``k * nfft`` with ``nfft`` just above ``m + L``.
 
 The covariance of the parameter estimates follows by the delta method:
 ``Sigma = B A B^T`` with ``B = (grad_theta h)^{-1} (grad_mu h~)``, the
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
+from scipy.fft import next_fast_len, rfft
 from scipy.stats import norm
 
 from .errors import SingularJacobian, TooShort
@@ -89,10 +94,18 @@ def auto_bandwidth(m: int) -> int:
 def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndarray:
     """Bartlett-tapered long-run covariance matrix of the given series.
 
-    ``series`` has shape (k, m).  Autocovariances are computed in one pass
-    via FFT cross-correlation (zero-padded, so identical to the direct sums
-    up to roundoff), then combined as
-    ``C(0) + sum_k w_k (C(k) + C(k)^T)`` and symmetrized.
+    ``series`` has shape (k, m).  The result is
+    ``C(0) + sum_{l=1..L} w_l (C(l) + C(l)^T)`` with
+    ``C(l)[i, j] = (1/m) sum_t X[i, t] X[j, t + l]`` for the centred series,
+    symmetrized.  It is computed from the spectral-window identity
+
+        A[i, j] = (1 / (m nfft)) sum_f W(f) Re(conj(F_i(f)) F_j(f)),
+
+    where F is the DFT of the series zero-padded to ``nfft >= m + L + 1``
+    (so no lag up to L wraps around) and W is the DFT of the circular
+    Bartlett lag window (the Fejer kernel).  Only the real half-spectrum is
+    kept, with W doubled on bins that stand for a mirror bin.  Memory is a
+    few ``(k, nfft)`` arrays, about three times the series.
     """
     X = np.atleast_2d(np.asarray(series, dtype=float))
     k, m = X.shape
@@ -103,16 +116,15 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth!r}")
     L = min(L, m - 1)
     X = X - X.mean(axis=1, keepdims=True)
-    nfft = next_fast_len(m + L + 1)
+    nfft = next_fast_len(m + L + 1, real=True)
     F = rfft(X, n=nfft, axis=1)
-    # cross[i, j, lag] = (1/m) sum_t X[i, t] X[j, t + lag], lag = 0..L
-    cross = irfft(np.conj(F)[:, None, :] * F[None, :, :], n=nfft, axis=2)
-    cross = cross[:, :, :L + 1] / m
-    A = cross[:, :, 0].copy()
-    if L > 0:
-        w = 1.0 - np.arange(1, L + 1) / (L + 1.0)
-        tail = cross[:, :, 1:] @ w
-        A += tail + tail.T
+    lag_window = np.zeros(nfft)
+    lag_window[:L + 1] = 1.0 - np.arange(L + 1) / (L + 1.0)
+    lag_window[nfft - L:] = lag_window[L:0:-1]
+    W = rfft(lag_window).real
+    W[1:(nfft + 1) // 2] *= 2.0
+    W /= m * nfft
+    A = (F.real * W) @ F.real.T + (F.imag * W) @ F.imag.T
     return 0.5 * (A + A.T)
 
 

@@ -1,6 +1,7 @@
 """Long-run covariance, delta-method covariance, and intervals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,29 @@ class TestLongRunCov:
         for L in (0, 1, 7, 25):
             assert np.allclose(long_run_cov(s, L), bartlett_direct(s, L),
                                rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("n, L, L_direct", [
+        (350, 24, 24),   # m = 349, m + L + 1 = 374: odd transform length 375
+        (40, 200, 38),   # clipped to m - 1, which also changes the weights
+        (301, 0, 0),     # lag-0 covariance only
+    ], ids=["odd-nfft", "clipped", "zero-bandwidth"])
+    def test_edge_cases_match_direct_sums(self, ref_params, n, L, L_direct):
+        s = observable_series(simulate_path(ref_params, 0.0, H_REF, n,
+                                            seed=19))
+        assert np.allclose(long_run_cov(s, L), bartlett_direct(s, L_direct),
+                           rtol=1e-10, atol=1e-14)
+
+    def test_peak_memory_small_multiple_of_series(self, ref_params):
+        # memory must stay a small multiple of the input, not grow with k**2
+        path = simulate_path(ref_params, 0.0, H_REF, 200_001, seed=24)
+        s = observable_series(path)
+        tracemalloc.start()
+        try:
+            long_run_cov(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * s.nbytes
 
     def test_auto_bandwidth(self):
         assert auto_bandwidth(10_000) == 22

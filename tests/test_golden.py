@@ -7,6 +7,12 @@ files in ``tests/golden/`` were written by the CLI at the commit before the
 single-pass moment refactor, with the commands below run in one directory
 (numpy 2.4.6, scipy 1.17.1, Python 3.11).  Paths are relative, so the
 provenance records in the outputs do not depend on where the test runs.
+
+``estimate.json`` was re-captured when ``long_run_cov`` moved from inverse
+FFTs of the cross-spectrum to the Bartlett spectral window: the rounding of
+``covariance.A``, ``covariance.Sigma`` and ``intervals`` changed by at most
+1.1e-13 relative, while every other field and every other file stayed
+byte-identical.
 """
 
 from pathlib import Path
