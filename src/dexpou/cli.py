@@ -38,6 +38,7 @@ from .estimate import (
 )
 from .model import ModelParams
 from .pathio import (
+    _write_float_csv,
     fmt,
     metadata_path,
     read_path_csv,
@@ -329,11 +330,8 @@ def cmd_gcurve(options: dict) -> int:
 
     scan = scan_g(f, options["grid"])
     gprime = np.gradient(scan.g, scan.grid)
-    with open(options["out"], "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["p", "g", "g_prime"])
-        for p, g, gp in zip(scan.grid, scan.g, gprime):
-            writer.writerow([fmt(p), fmt(g), fmt(gp)])
+    _write_float_csv(options["out"], ("p", "g", "g_prime"),
+                     (scan.grid, scan.g, gprime))
     print(f"sign_change_count={len(scan.brackets)}")
     return 0
 

@@ -1,11 +1,18 @@
 """CSV export/ingestion round trips and spacing enforcement."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dexpou import read_path_csv, simulate_path, write_metadata, write_path_csv
+from dexpou import (
+    SamplePath,
+    read_path_csv,
+    simulate_path,
+    write_metadata,
+    write_path_csv,
+)
 from dexpou.pathio import fmt, metadata_path
 
 from conftest import H_REF
@@ -102,3 +109,69 @@ def test_empty_file_rejected(tmp_path):
     src.write_text("")
     with pytest.raises(ValueError, match="empty"):
         read_path_csv(src)
+
+
+_ROWS = "0.02,1\n0.04,2\n0.06,3\n"
+
+
+@pytest.mark.parametrize("text, outcome", [
+    # rejected, naming the row (a str is the expected message fragment)
+    ("t,x\n" + _ROWS + "\n", "row 4: expected 2 columns, got 0"),
+    ("t,x\n0.02,1\n\n0.04,2\n0.06,3\n", "row 2: expected 2 columns, got 0"),
+    ("t,x\n0.02,1\n#c\n0.04,2\n0.06,3\n", "row 2: expected 2 columns, got 1"),
+    ("t,x\n0.02,1,\n0.04,2,\n0.06,3,\n", "row 1: expected 2 columns, got 3"),
+    ("t,x\n0.02,\n0.04,2\n0.06,3\n", "row 1: non-numeric field"),
+    ("t,x\n0x1p0,1\n0.04,2\n0.06,3\n", "row 1: non-numeric field"),
+    ("t,x\n0.02,Infinity\n0.04,2\n0.06,3\n", "row 1: non-finite x"),
+    # accepted (a list is the expected x)
+    ('"t","x"\n"0.02","1"\n"0.04","2"\n"0.06","3"\n', [1.0, 2.0, 3.0]),
+    ("t,x\n 0.02 , 1 \n 0.04 , 2 \n 0.06 , 3 \n", [1.0, 2.0, 3.0]),
+    (("t,x\n" + _ROWS).replace("\n", "\r\n"), [1.0, 2.0, 3.0]),
+    ("t,x\n" + _ROWS.rstrip("\n"), [1.0, 2.0, 3.0]),
+    ("t\n" + _ROWS, [1.0, 2.0, 3.0]),
+    ("\ufefft,x\n" + _ROWS, [1.0, 2.0, 3.0]),
+    (_ROWS, [1.0, 2.0, 3.0]),
+    ("t,x\n0.02,1_0\n0.04,2\n0.06,3\n", [10.0, 2.0, 3.0]),
+], ids=["trailing-blank", "blank-mid", "hash-line", "trailing-comma",
+        "empty-field", "hex-float", "infinity", "quoted", "spaces", "crlf",
+        "no-final-newline", "one-column-header", "bom", "headerless",
+        "underscore"])
+def test_reader_outcomes(tmp_path, text, outcome):
+    src = tmp_path / "in.csv"
+    src.write_bytes(text.encode("utf-8"))
+    if isinstance(outcome, str):
+        with pytest.raises(ValueError, match=outcome):
+            read_path_csv(src)
+    else:
+        path = read_path_csv(src)
+        assert path.h == 0.02
+        assert path.values.tolist() == outcome
+
+
+def test_writer_bytes_match_fmt_across_blocks(tmp_path):
+    from dexpou.pathio import _BLOCK_ROWS
+    n = 3 * _BLOCK_ROWS + 7
+    special = [-0.0, 5e-324, 1e308, -1e308, 1e-300, np.nan, np.inf, -np.inf]
+    values = np.random.default_rng(3).standard_normal(n)
+    for i, v in enumerate(special):
+        # one copy of each near the start and one on each side of a boundary
+        values[i] = values[_BLOCK_ROWS - 4 + i] = values[-1 - i] = v
+    path = SamplePath(h=0.013, values=values)
+    out = tmp_path / "p.csv"
+    write_path_csv(path, out)
+    expected = "t,x\n" + "".join(
+        f"{fmt(t)},{fmt(x)}\n" for t, x in zip(path.times, path.values))
+    assert out.read_bytes() == expected.encode()
+
+
+def test_read_peak_memory_small_multiple_of_path(tmp_path, ref_params):
+    n = 200_000
+    out = tmp_path / "p.csv"
+    write_path_csv(simulate_path(ref_params, 0.0, H_REF, n, seed=33), out)
+    tracemalloc.start()
+    try:
+        read_path_csv(out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (2 * 8 * n)
