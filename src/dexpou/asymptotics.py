@@ -10,8 +10,10 @@ weights ``w_k = 1 - k/(L+1)`` up to a truncation lag L (default
 The Bartlett lag window is the Fejer spectral window, so the weighted lag
 sum is taken in the frequency domain without forming any lagged
 covariance: A is the cross-periodogram of the zero-padded series weighted
-by the DFT of the lag window.  This costs one forward FFT per series and
-memory of order ``k * nfft`` with ``nfft`` just above ``m + L``.
+by the Fejer kernel, which has a closed form.  Scaling each spectrum by the
+square root of the weights makes A one Gram product.  This costs one
+forward FFT per series, taken in one zero-padded buffer, and memory of
+about twice the series.
 
 The covariance of the parameter estimates follows by the delta method:
 ``Sigma = B A B^T`` with ``B = (grad_theta h)^{-1} (grad_mu h~)``, the
@@ -28,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 from scipy.fft import next_fast_len, rfft
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .errors import SingularJacobian, TooShort
 from .estimate import EstimationResult, observable_series
@@ -103,9 +105,16 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
 
     where F is the DFT of the series zero-padded to ``nfft >= m + L + 1``
     (so no lag up to L wraps around) and W is the DFT of the circular
-    Bartlett lag window (the Fejer kernel).  Only the real half-spectrum is
-    kept, with W doubled on bins that stand for a mirror bin.  Memory is a
-    few ``(k, nfft)`` arrays, about three times the series.
+    Bartlett lag window, the Fejer kernel
+
+        W(0) = L + 1,  W(f) = sin^2(pi f (L+1) / nfft) / ((L+1) sin^2(pi f / nfft)),
+
+    which is non-negative.  Only the real half-spectrum is kept, with W
+    doubled on bins that stand for a mirror bin.  Each spectrum is scaled by
+    ``sqrt(W)`` in place, so A is the Gram matrix of the scaled spectra
+    viewed as real vectors.  The series is centred straight into the padded
+    buffer that the FFT consumes; peak memory is that buffer plus the
+    spectrum, about twice the series.
     """
     X = np.atleast_2d(np.asarray(series, dtype=float))
     k, m = X.shape
@@ -115,16 +124,22 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     if L < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth!r}")
     L = min(L, m - 1)
-    X = X - X.mean(axis=1, keepdims=True)
     nfft = next_fast_len(m + L + 1, real=True)
-    F = rfft(X, n=nfft, axis=1)
-    lag_window = np.zeros(nfft)
-    lag_window[:L + 1] = 1.0 - np.arange(L + 1) / (L + 1.0)
-    lag_window[nfft - L:] = lag_window[L:0:-1]
-    W = rfft(lag_window).real
+    buf = np.zeros((k, nfft))
+    np.subtract(X, X.mean(axis=1, keepdims=True), out=buf[:, :m])
+    F = rfft(buf, axis=1, overwrite_x=True)
+    del buf
+    f = np.arange(1, nfft // 2 + 1)
+    W = np.empty(nfft // 2 + 1)
+    W[0] = L + 1.0
+    # sin^2 has period pi, so reduce f (L+1) modulo nfft in exact integers
+    W[1:] = (np.square(np.sin(np.pi / nfft * (f * (L + 1) % nfft)))
+             / ((L + 1.0) * np.square(np.sin(np.pi / nfft * f))))
     W[1:(nfft + 1) // 2] *= 2.0
     W /= m * nfft
-    A = (F.real * W) @ F.real.T + (F.imag * W) @ F.imag.T
+    F *= np.sqrt(W)
+    V = F.view(np.float64)
+    A = V @ V.T
     return 0.5 * (A + A.T)
 
 
@@ -181,7 +196,7 @@ def confidence_intervals(result: EstimationResult, cov: CovarianceEstimate,
     transform of the rho and xi intervals."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
-    z = norm.ppf(0.5 * (1.0 + level))
+    z = ndtri(0.5 * (1.0 + level))
     estimates = {
         "p": result.p_hat,
         "rho": result.rho_hat,

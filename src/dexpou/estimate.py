@@ -7,10 +7,12 @@ calibration convention throughout.
 
 All four sample moments are averaged over the same index set j = 1..n-1 (the
 lag product needs pairs), which preserves the exact algebraic identities the
-solver relies on.  Every precondition failure raises a typed error from
-:mod:`dexpou.errors`; nothing is clamped or silently repaired.  Root
-uniqueness is diagnosed (sign-change count over a grid), never assumed: with
-multiple sign changes the solver refuses and reports all roots.
+solver relies on.  They are summed in chunks of ``MOMENT_CHUNK`` rows, so
+the moment pass of a fit needs memory of order the chunk, not the path.
+Every precondition failure raises a typed error from :mod:`dexpou.errors`;
+nothing is clamped or silently repaired.  Root uniqueness is diagnosed
+(sign-change count over a grid), never assumed: with multiple sign changes
+the solver refuses and reports all roots.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ GRID_EPS = 1e-6          # root search domain is [GRID_EPS, 1 - GRID_EPS]
 DEFAULT_GRID_SIZE = 2001
 ROOT_G_TOL = 1e-12       # |g| tolerance at the refined root
 ROOT_WIDTH_TOL = 1e-14   # bracket width tolerance of the refiner
+MOMENT_CHUNK = 1 << 16   # rows per block of the moment sums
 
 
 @dataclass(frozen=True)
@@ -151,8 +154,9 @@ class EstimationResult:
 
 def observable_series(path: SamplePath) -> np.ndarray:
     """The four aligned series (X_j, X_j^2, X_j^3, X_j X_{j+1}), j = 1..n-1,
-    as an array of shape (4, n-1).  Their row means are the sample moments
-    used by the estimator."""
+    as an array of shape (4, n-1), for the long-run covariance.  Their row
+    means are the sample moments of :func:`empirical_moments`, which sums
+    the same products without forming this array."""
     x = path.values
     if len(x) < 2:
         raise ValueError(f"path must have >= 2 observations, got {len(x)}")
@@ -161,17 +165,37 @@ def observable_series(path: SamplePath) -> np.ndarray:
     series = np.empty((4, len(head)))
     series[0] = head
     np.square(head, out=series[1])
-    np.power(head, 3, out=series[2])
+    np.multiply(series[1], head, out=series[2])
     np.multiply(head, x[1:], out=series[3])
     return series
 
 
 def empirical_moments(path: SamplePath) -> EmpiricalMoments:
-    """Sample moments of the path, all averaged over j = 1..n-1."""
-    series = observable_series(path)
-    mu1, mu2, mu3, mu4 = series.mean(axis=1).tolist()
+    """Sample moments of the path, all averaged over j = 1..n-1.
+
+    The sums of (X_j, X_j^2, X_j^3, X_j X_{j+1}) are taken block by block
+    with the products of :func:`observable_series`, so the series is never
+    formed; a path of at most ``MOMENT_CHUNK + 1`` points gives exactly its
+    row means."""
+    x = path.values
+    if len(x) < 2:
+        raise ValueError(f"path must have >= 2 observations, got {len(x)}")
+    m = len(x) - 1
+    sq = np.empty(min(m, MOMENT_CHUNK))
+    prod = np.empty_like(sq)
+    sums = [0.0, 0.0, 0.0, 0.0]
+    for start in range(0, m, MOMENT_CHUNK):
+        head = x[start:min(start + MOMENT_CHUNK, m)]
+        b = len(head)
+        np.multiply(head, head, out=sq[:b])
+        sums[0] += head.sum()
+        sums[1] += sq[:b].sum()
+        sums[2] += np.multiply(sq[:b], head, out=prod[:b]).sum()
+        sums[3] += np.multiply(head, x[start + 1:start + 1 + b],
+                               out=prod[:b]).sum()
+    mu1, mu2, mu3, mu4 = (float(s) / m for s in sums)
     return EmpiricalMoments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4,
-                            n_used=series.shape[1], h=path.h)
+                            n_used=m, h=path.h)
 
 
 def empirical_char_fn(path: SamplePath, u):

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import ModelParams
 
@@ -135,6 +134,10 @@ def simulate_path(params: ModelParams, x0: float, h: float, n: int, seed: int,
         burn_in = default_burn_in(params.theta, h)
     elif burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+    # imported here: scipy.signal is slow to import, and only simulation
+    # needs it
+    from scipy.signal import lfilter
+
     rng = make_rng(seed, replication)
     jump_sums = draw_transition_jump_sum(params, h, rng, size=burn_in + n)
     decay = math.exp(-params.theta * h)

@@ -110,7 +110,7 @@ class TestLongRunCov:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * s.nbytes
+        assert peak <= 2.5 * s.nbytes
 
     def test_auto_bandwidth(self):
         assert auto_bandwidth(10_000) == 22

@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dexpou
 from dexpou.cli import main
 from dexpou.errors import NoRoot
 from dexpou.estimate import solve_p
@@ -15,6 +20,18 @@ from test_estimate import exact_f, no_root_f
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # every dexpou process pays for what importing the CLI loads
+    code = ("import sys, dexpou.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') "
+            "if m in sys.modules))")
+    src = str(Path(dexpou.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSimulateCommand:

@@ -2,6 +2,7 @@
 and the exact-inversion property."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from dexpou import (
     estimate_theta,
     g_of_p,
     joint_char_fn,
+    make_rng,
     recover_rho_xi,
     simulate_path,
     solve_p,
@@ -34,7 +36,7 @@ from dexpou.errors import (
     NonPositiveVariance,
     NoRoot,
 )
-from dexpou.estimate import GRID_EPS, ROOT_G_TOL
+from dexpou.estimate import GRID_EPS, MOMENT_CHUNK, ROOT_G_TOL
 
 from conftest import H_REF, random_valid_params
 
@@ -60,6 +62,35 @@ class TestEmpiricalMoments:
     def test_rejects_short_path(self):
         with pytest.raises(ValueError, match=">= 2"):
             empirical_moments(SamplePath(h=H_REF, values=np.array([1.0])))
+
+    @pytest.mark.parametrize("n", [2, 3, MOMENT_CHUNK + 1,
+                                   2 * MOMENT_CHUNK + 2])
+    def test_block_sums_match_exact_sums(self, n):
+        # positive values keep each sum free of cancellation, so a row
+        # dropped or counted twice at a block edge (about 1/n relative)
+        # cannot hide inside rtol
+        x = make_rng(31).uniform(0.5, 2.0, n)
+        m = empirical_moments(SamplePath(h=H_REF, values=x))
+        head, tail = x[:-1].tolist(), x[1:].tolist()
+        exact = [math.fsum(head),
+                 math.fsum(a * a for a in head),
+                 math.fsum(a * a * a for a in head),
+                 math.fsum(a * b for a, b in zip(head, tail))]
+        assert m.n_used == n - 1
+        assert m.to_array() == pytest.approx(np.array(exact) / (n - 1),
+                                             rel=1e-14, abs=0)
+
+    def test_peak_memory_independent_of_path_length(self):
+        n = 1_000_000
+        path = SamplePath(h=H_REF, values=make_rng(32).standard_normal(n))
+        tracemalloc.start()
+        try:
+            empirical_moments(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # against the (4, n-1) float64 series that the sums stand for
+        assert peak <= 0.1 * 4 * (n - 1) * 8
 
     def test_long_path_mean_near_truth(self, ref_params, ref_moments):
         path = simulate_path(ref_params, 0.0, H_REF, 100_000, seed=2)
