@@ -7,7 +7,8 @@ nominal-level interval of each of p, rho, xi and theta covers the truth,
 together with the normality diagnostics of the standardized first-moment
 statistic.  A parameter whose estimated variance is negative gets no
 interval; such a replication counts as not covering and is also counted in
-``no_interval``.
+``no_interval``.  The intervals use the model's long-run covariance at the
+estimates; ``--bandwidth L`` uses the Bartlett HAC estimate instead.
 """
 
 import argparse
@@ -77,7 +78,8 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=777)
     ap.add_argument("--level", type=float, default=0.95)
-    ap.add_argument("--bandwidth", type=int, default=None)
+    ap.add_argument("--bandwidth", type=int, default=None,
+                    help="HAC bandwidth (default: the model's A)")
     args = ap.parse_args()
     summary = run(args.reps, args.n, args.seed, args.level, args.bandwidth)
     print(json.dumps(summary, indent=2))

@@ -9,7 +9,8 @@ dropped, or a CSV column) the script prints the largest change over the
 field's largest golden magnitude, ``max |new - old| / max |old|``, which
 for a scalar field is its relative change.  Any other difference (a
 string, a key, a shape, a header, the standard output) is printed as a
-mismatch.
+mismatch; a field that only one of the two files holds is named, and the
+fields both hold are still compared.
 
 Exits 1 on a mismatch or when some field moved by more than ``--rtol``
 (default 0: any numeric change fails).  ``--out DIR`` keeps the fresh
@@ -66,28 +67,46 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _by_field(leaves):
+    """Values of each field, in file order."""
+    fields = {}
+    for field, value in leaves:
+        fields.setdefault(field, []).append(value)
+    return fields
+
+
 def compare(name, new_text, old_text):
-    """Per-field drift ``{field: change}`` and the list of mismatches."""
+    """Per-field drift ``{field: change}`` and the list of mismatches.
+
+    Fields present in only one file are mismatches; the fields both files
+    hold are still compared."""
     if name.endswith(".json"):
-        new, old = (list(_leaves(json.loads(t))) for t in (new_text, old_text))
+        new, old = (_by_field(_leaves(json.loads(t)))
+                    for t in (new_text, old_text))
     else:
-        new, old = (list(_csv_leaves(t)) for t in (new_text, old_text))
-    if [f for f, _ in new] != [f for f, _ in old]:
-        return {}, ["fields or shape differ"]
-    diff, scale, mismatches = {}, {}, []
-    for (field, a), (_, b) in zip(new, old):
-        if _is_number(a) and _is_number(b):
-            if a == b or (math.isnan(a) and math.isnan(b)):
-                d = 0.0
-            elif math.isfinite(a) and math.isfinite(b):
-                d = abs(a - b)
-            else:
-                d = math.inf
-            diff[field] = max(diff.get(field, 0.0), d)
-            if math.isfinite(b):
-                scale[field] = max(scale.get(field, 0.0), abs(b))
-        elif a != b:
-            mismatches.append(f"{field}: {a!r} != {b!r}")
+        new, old = (_by_field(_csv_leaves(t)) for t in (new_text, old_text))
+    mismatches = ([f"{f}: only in the new file" for f in new if f not in old]
+                  + [f"{f}: only in the golden file" for f in old
+                     if f not in new])
+    diff, scale = {}, {}
+    for field in (f for f in old if f in new):
+        if len(new[field]) != len(old[field]):
+            mismatches.append(f"{field}: {len(new[field])} values, "
+                              f"golden {len(old[field])}")
+            continue
+        for a, b in zip(new[field], old[field]):
+            if _is_number(a) and _is_number(b):
+                if a == b or (math.isnan(a) and math.isnan(b)):
+                    d = 0.0
+                elif math.isfinite(a) and math.isfinite(b):
+                    d = abs(a - b)
+                else:
+                    d = math.inf
+                diff[field] = max(diff.get(field, 0.0), d)
+                if math.isfinite(b):
+                    scale[field] = max(scale.get(field, 0.0), abs(b))
+            elif a != b:
+                mismatches.append(f"{field}: {a!r} != {b!r}")
     drift = {}
     for field, d in diff.items():
         s = scale.get(field, 0.0)

@@ -21,7 +21,10 @@ from .model import (
     jacobian_h,
     jacobian_tilde_h,
     joint_char_fn,
+    model_long_run_cov,
+    observable_autocov,
     stationary_char_fn,
+    stationary_cumulants,
     tilde_h_map,
 )
 from .simulate import (

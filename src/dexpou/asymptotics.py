@@ -2,24 +2,27 @@
 
 The moment vector obeys a central limit theorem whose 4x4 limit covariance A
 is the long-run covariance of the observable series (x, x^2, x^3, x y) over
-consecutive observation pairs: lag-0 covariance plus tapered sums of the
-lagged cross-covariances, ``C(0) + sum_k w_k (C(k) + C(k)^T)`` with Bartlett
-weights ``w_k = 1 - k/(L+1)`` up to a truncation lag L (default
-``ceil(m**(1/3))``, user-overridable).
+consecutive observation pairs.  By default A is the model's own long-run
+covariance at the estimates, :func:`dexpou.model.model_long_run_cov`: a
+closed form in (theta, rho, xi, p, h) that costs O(1) and reads no path.
 
-The Bartlett lag window is the Fejer spectral window, so the weighted lag
-sum is taken in the frequency domain without forming any lagged
-covariance: A is the cross-periodogram of the zero-padded series weighted
-by the Fejer kernel, which has a closed form.  Scaling each spectrum by the
-square root of the weights makes A one Gram product.  This costs one
-forward FFT per series, taken in one zero-padded buffer, and memory of
-about twice the series.
+An explicit bandwidth L selects the model-free cross-check, a Bartlett HAC
+estimate from the path: lag-0 covariance plus tapered sums of the lagged
+cross-covariances, ``C(0) + sum_k w_k (C(k) + C(k)^T)`` with Bartlett
+weights ``w_k = 1 - k/(L+1)``.  The Bartlett lag window is the Fejer
+spectral window, so the weighted lag sum is taken in the frequency domain
+without forming any lagged covariance: A is the cross-periodogram of the
+zero-padded series weighted by the Fejer kernel, which has a closed form.
+Scaling each spectrum by the square root of the weights makes A one Gram
+product.  This costs one forward FFT per series, taken in one zero-padded
+buffer, and memory of about twice the series.  A bandwidth shorter than
+the correlation length ``1/(theta h)`` biases this estimate low.
 
 The covariance of the parameter estimates follows by the delta method:
 ``Sigma = B A B^T`` with ``B = (grad_theta h)^{-1} (grad_mu h~)``, the
 Jacobian of the estimates with respect to the moment vector, rows and
 columns ordered (p, rho, xi, theta).  Jacobians are evaluated at the plug-in
-point (the estimates and the moment vector they imply).
+point: the estimates and the sample moments they were solved from.
 """
 
 from __future__ import annotations
@@ -35,11 +38,10 @@ from scipy.special import ndtri
 from .errors import SingularJacobian, TooShort
 from .estimate import EstimationResult, observable_series
 from .model import (
-    ModelParams,
     PARAM_ORDER,
-    analytic_moments,
     jacobian_h,
     jacobian_tilde_h,
+    model_long_run_cov,
 )
 from .simulate import SamplePath
 
@@ -61,13 +63,20 @@ MAX_JACOBIAN_COND = 1e12
 @dataclass(frozen=True)
 class CovarianceEstimate:
     """Long-run covariance A of the moment averages and delta-method
-    covariance Sigma of (p, rho, xi, theta), plus the bandwidth used and the
-    number of averaged terms ``n``."""
+    covariance Sigma of (p, rho, xi, theta), plus the HAC bandwidth used
+    (``None`` when A is the model's), the number of averaged terms ``n`` and
+    the condition number of the parameter Jacobian."""
 
     A: np.ndarray
     Sigma: np.ndarray
-    bandwidth: int
+    bandwidth: Optional[int]
     n: int
+    jacobian_condition: float = math.nan
+
+    @property
+    def method(self) -> str:
+        """``"model"`` for the closed-form A, ``"hac"`` for the estimate."""
+        return "model" if self.bandwidth is None else "hac"
 
     def min_eigenvalue_ratio(self) -> float:
         """min eigenvalue of Sigma over its trace (PSD check aid)."""
@@ -143,43 +152,54 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     return 0.5 * (A + A.T)
 
 
-def sigma_matrix(A: np.ndarray, theta: float, rho: float, xi: float, p: float,
-                 h: float) -> np.ndarray:
-    """Delta-method covariance Sigma = B A B^T of (p, rho, xi, theta).
-
-    B = (grad h)^{-1} grad h~ is the Jacobian of the estimates with respect
-    to the moments; its rows are the gradients of the individual estimates,
-    so the quadratic form must sandwich A as B A B^T.  The moment vector at
-    which grad h~ is evaluated is reconstructed from the estimates (the
-    pipeline inverts the moment system exactly, so this is the plug-in
-    moment vector itself).
-    """
+def _delta_method(A: np.ndarray, mu, theta: float, rho: float, xi: float,
+                  p: float, h: float) -> tuple:
+    """``(Sigma, cond)``: the covariance of :func:`sigma_matrix` and the
+    condition number of the parameter Jacobian it inverts."""
     A = np.asarray(A, dtype=float)
     if A.shape != (4, 4):
         raise ValueError(f"A must be 4x4, got shape {A.shape}")
     Jh = jacobian_h(theta, rho, xi, p, h)
-    cond = np.linalg.cond(Jh)
+    cond = float(np.linalg.cond(Jh))
     if not cond < MAX_JACOBIAN_COND:
         raise SingularJacobian(cond)
-    implied = analytic_moments(
-        ModelParams(theta=theta, eta=1.0 / rho, phi=1.0 / xi, p=p), h
-    )
-    Jt = jacobian_tilde_h(implied.to_array())
-    B = np.linalg.solve(Jh, Jt)
+    B = np.linalg.solve(Jh, jacobian_tilde_h(mu))
     Sigma = B @ A @ B.T
-    return 0.5 * (Sigma + Sigma.T)
+    return 0.5 * (Sigma + Sigma.T), cond
+
+
+def sigma_matrix(A: np.ndarray, mu, theta: float, rho: float, xi: float,
+                 p: float, h: float) -> np.ndarray:
+    """Delta-method covariance Sigma = B A B^T of (p, rho, xi, theta).
+
+    B = (grad h)^{-1} grad h~ is the Jacobian of the estimates with respect
+    to the moments; its rows are the gradients of the individual estimates,
+    so the quadratic form must sandwich A as B A B^T.  ``mu`` is the moment
+    vector (mu1, mu2, mu3, mu4) at which grad h~ is evaluated: the plug-in
+    moments the estimates were solved from.
+    """
+    return _delta_method(A, mu, theta, rho, xi, p, h)[0]
 
 
 def covariance_estimate(path: SamplePath, result: EstimationResult,
                         bandwidth: Optional[int] = None) -> CovarianceEstimate:
-    """Assemble A and Sigma for an estimated path."""
-    series = observable_series(path)
-    m = series.shape[1]
-    L = auto_bandwidth(m) if bandwidth is None else int(bandwidth)
-    A = long_run_cov(series, L)
-    Sigma = sigma_matrix(A, result.theta_hat, result.rho_hat, result.xi_hat,
-                         result.p_hat, path.h)
-    return CovarianceEstimate(A=A, Sigma=Sigma, bandwidth=min(L, m - 1), n=m)
+    """Assemble A and Sigma for an estimated path.
+
+    With ``bandwidth=None`` A is the model's long-run covariance at the
+    estimates; an explicit bandwidth selects the Bartlett HAC estimate from
+    the path, which needs at least ``MIN_SERIES_LENGTH`` pairs."""
+    point = (result.theta_hat, result.rho_hat, result.xi_hat, result.p_hat,
+             path.h)
+    m = len(path.values) - 1
+    L = None
+    if bandwidth is None:
+        A = model_long_run_cov(*point)
+    else:
+        A = long_run_cov(observable_series(path), int(bandwidth))
+        L = min(int(bandwidth), m - 1)
+    Sigma, cond = _delta_method(A, result.moments.to_array(), *point)
+    return CovarianceEstimate(A=A, Sigma=Sigma, bandwidth=L, n=m,
+                              jacobian_condition=cond)
 
 
 def _reciprocal_interval(lo: float, hi: float) -> tuple:

@@ -245,9 +245,11 @@ def cmd_estimate(options: dict) -> int:
             "f": {"f1": result.f.f1, "f2": result.f.f2, "f3": result.f.f3},
         }
         cov = covariance_estimate(path, result, bandwidth=options["bandwidth"])
+        payload["diagnostics"]["jacobian_condition"] = cov.jacobian_condition
         payload["covariance"] = {
             "A": cov.A, "Sigma": cov.Sigma,
-            "bandwidth": cov.bandwidth, "n": cov.n,
+            "bandwidth": cov.bandwidth, "n": cov.n, "method": cov.method,
+            "sigma_min_eigenvalue_ratio": cov.min_eigenvalue_ratio(),
         }
         ci = confidence_intervals(result, cov, level=options["level"])
         payload["intervals"] = {
@@ -255,6 +257,13 @@ def cmd_estimate(options: dict) -> int:
             **{name: list(lohi) for name, lohi in sorted(ci.intervals.items())},
         }
         payload["warnings"] = list(ci.warnings)
+        corr_length = 1.0 / (result.theta_hat * path.h)
+        if cov.bandwidth is not None and cov.bandwidth < corr_length:
+            payload["warnings"].append(
+                f"bandwidth {cov.bandwidth} is shorter than the correlation "
+                f"length 1/(theta_hat h) = {corr_length:.1f} observations; "
+                f"the HAC estimate of A is biased low"
+            )
     except EstimationError as exc:
         payload["error"] = {
             "name": type(exc).__name__,

@@ -10,6 +10,7 @@ from dexpou import (
     CovarianceEstimate,
     ModelParams,
     SamplePath,
+    analytic_moments,
     auto_bandwidth,
     confidence_intervals,
     covariance_estimate,
@@ -19,6 +20,7 @@ from dexpou import (
     jacobian_tilde_h,
     long_run_cov,
     make_rng,
+    model_long_run_cov,
     observable_series,
     sigma_matrix,
     simulate_path,
@@ -167,28 +169,26 @@ class TestLongRunCov:
 class TestSigmaMatrix:
     def setup_method(self):
         self.point = dict(theta=2.0, rho=1 / 1.2, xi=0.625, p=0.6, h=H_REF)
+        params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
+        self.mu = analytic_moments(params, H_REF).to_array()
 
     def test_zero_A_gives_zero(self):
-        assert np.all(sigma_matrix(np.zeros((4, 4)), **self.point) == 0.0)
+        assert np.all(sigma_matrix(np.zeros((4, 4)), self.mu, **self.point)
+                      == 0.0)
 
     def test_identity_A_gives_BBt(self):
         # direct multiplication with independently assembled B
         Jh = jacobian_h(self.point["theta"], self.point["rho"],
                         self.point["xi"], self.point["p"], self.point["h"])
-        params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
-        from dexpou import analytic_moments
-        mu = analytic_moments(params, H_REF).to_array()
-        B = np.linalg.solve(Jh, jacobian_tilde_h(mu))
+        B = np.linalg.solve(Jh, jacobian_tilde_h(self.mu))
         expect = B @ B.T
-        got = sigma_matrix(np.eye(4), **self.point)
+        got = sigma_matrix(np.eye(4), self.mu, **self.point)
         assert np.allclose(got, expect, rtol=1e-12)
 
     def test_theta_row_matches_closed_form_gradient(self):
         # theta = ln((mu2-mu1^2)/(mu4-mu1^2))/h has an explicit gradient;
         # the theta row of B must equal it, pinning the sandwich orientation
-        params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
-        from dexpou import analytic_moments
-        mu = analytic_moments(params, H_REF).to_array()
+        mu = self.mu
         var = mu[1] - mu[0] ** 2
         autocov = mu[3] - mu[0] ** 2
         grad = np.array([
@@ -204,18 +204,42 @@ class TestSigmaMatrix:
 
     def test_singular_jacobian_raises(self):
         with pytest.raises(SingularJacobian) as err:
-            sigma_matrix(np.eye(4), theta=2.0, rho=1 / 1.2, xi=0.625, p=0.6,
-                         h=1e-13)
+            sigma_matrix(np.eye(4), self.mu, theta=2.0, rho=1 / 1.2, xi=0.625,
+                         p=0.6, h=1e-13)
         assert err.value.condition_number > 1e12
 
     def test_full_pipeline_sigma_symmetric_psd(self, ref_params):
         path = simulate_path(ref_params, 0.0, H_REF, 10_001, seed=25)
         result = estimate_all(path)
+        model = covariance_estimate(path, result)
+        assert model.bandwidth is None and model.method == "model"
+        hac = covariance_estimate(path, result, bandwidth=auto_bandwidth(10_000))
+        assert hac.bandwidth == auto_bandwidth(hac.n) and hac.method == "hac"
+        for cov in (model, hac):
+            assert np.array_equal(cov.Sigma, cov.Sigma.T)
+            eig = np.linalg.eigvalsh(cov.Sigma)
+            assert eig[0] >= -1e-8 * np.trace(cov.Sigma)
+            assert 1.0 <= cov.jacobian_condition < 1e12
+
+    def test_default_A_is_the_model_at_the_estimates(self, ref_params):
+        path = simulate_path(ref_params, 0.0, H_REF, 3001, seed=26)
+        result = estimate_all(path)
         cov = covariance_estimate(path, result)
-        assert np.array_equal(cov.Sigma, cov.Sigma.T)
-        eig = np.linalg.eigvalsh(cov.Sigma)
-        assert eig[0] >= -1e-8 * np.trace(cov.Sigma)
-        assert cov.bandwidth == auto_bandwidth(cov.n)
+        expect = model_long_run_cov(result.theta_hat, result.rho_hat,
+                                    result.xi_hat, result.p_hat, H_REF)
+        assert np.array_equal(cov.A, expect)
+        assert cov.n == 3000
+        mu = result.moments.to_array()
+        assert np.array_equal(cov.Sigma, sigma_matrix(
+            expect, mu, result.theta_hat, result.rho_hat, result.xi_hat,
+            result.p_hat, H_REF))
+
+    def test_model_A_needs_no_minimum_length(self, ref_params):
+        path = simulate_path(ref_params, 0.0, H_REF, 30, seed=14)
+        result = estimate_all(path)
+        assert np.all(np.isfinite(covariance_estimate(path, result).Sigma))
+        with pytest.raises(TooShort):
+            covariance_estimate(path, result, bandwidth=3)
 
 
 def _fake_result(**kw):

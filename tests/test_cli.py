@@ -111,15 +111,58 @@ class TestEstimateCommand:
 
     def test_covariance_too_short_keeps_estimates_in_error_payload(self, tmp_path):
         # 30 observations calibrate fine (seed chosen so preconditions hold)
-        # but leave only 29 pairs, below the covariance-series minimum
+        # but leave only 29 pairs, below the HAC series minimum
         src = tmp_path / "p.csv"
         run(["simulate", "--n", 30, "--seed", 14, "--out", src])
         res = tmp_path / "r.json"
-        assert run(["estimate", src, "--out", res]) == 3
+        assert run(["estimate", src, "--bandwidth", 3, "--out", res]) == 3
         payload = json.loads(res.read_text())
         assert payload["error"]["name"] == "TooShort"
         assert payload["error"]["stage"] == "long_run_cov"
         assert payload["estimates"]["theta"] > 0
+
+    def test_short_path_gets_model_intervals(self, tmp_path):
+        # the model's A reads no path, so the same 30 points get intervals
+        src = tmp_path / "p.csv"
+        run(["simulate", "--n", 30, "--seed", 14, "--out", src])
+        res = tmp_path / "r.json"
+        assert run(["estimate", src, "--out", res]) == 0
+        payload = json.loads(res.read_text())
+        assert payload["covariance"]["method"] == "model"
+        assert payload["covariance"]["bandwidth"] is None
+        assert payload["covariance"]["n"] == 29
+        for name in ("p", "rho", "xi", "theta"):
+            lo, hi = payload["intervals"][name]
+            assert lo < payload["estimates"][name] < hi
+
+    def test_diagnostics_and_method_fields(self, tmp_path):
+        src = tmp_path / "p.csv"
+        run(["simulate", "--n", 3000, "--seed", 2, "--out", src])
+        res = tmp_path / "r.json"
+        assert run(["estimate", src, "--out", res]) == 0
+        model = json.loads(res.read_text())
+        assert run(["estimate", src, "--bandwidth", 200, "--out", res]) == 0
+        hac = json.loads(res.read_text())
+        assert hac["covariance"]["method"] == "hac"
+        assert hac["covariance"]["bandwidth"] == 200
+        for payload in (model, hac):
+            cond = payload["diagnostics"]["jacobian_condition"]
+            assert 1.0 <= cond < 1e12
+            ratio = payload["covariance"]["sigma_min_eigenvalue_ratio"]
+            assert 0.0 <= ratio <= 0.25   # min eigenvalue over the trace
+            assert payload["warnings"] == []
+
+    def test_hac_bandwidth_below_correlation_length_warns(self, tmp_path):
+        # theta h = 0.04 at the defaults: a correlation length of ~25 steps
+        src = tmp_path / "p.csv"
+        run(["simulate", "--n", 3000, "--seed", 2, "--out", src])
+        res = tmp_path / "r.json"
+        assert run(["estimate", src, "--bandwidth", 5, "--out", res]) == 0
+        payload = json.loads(res.read_text())
+        theta = payload["estimates"]["theta"]
+        (warning,) = payload["warnings"]
+        assert warning.startswith("bandwidth 5 is shorter than the correlation "
+                                  f"length 1/(theta_hat h) = {1 / (theta * 0.02):.1f}")
 
 
 class TestExperimentCommand:

@@ -22,9 +22,25 @@ each field over its largest magnitude: moments and estimates <= 2.4e-16,
 ``covariance.A`` 1.0e-15, ``covariance.Sigma`` 5.4e-14, intervals
 <= 9.8e-14, gcurve ``g`` 5.3e-16 and ``g_prime`` 9.1e-14; the other five
 files stayed byte-identical.
+
+``estimate.json`` was re-captured once more when the default ``A`` became
+the model's closed-form long-run covariance at the estimates (the Bartlett
+HAC now runs only for an explicit ``--bandwidth``) and ``sigma_matrix``
+came to take the plug-in moments.  This changes numbers, not rounding:
+``scripts/golden_drift.py`` measured ``covariance.A`` 3.8, ``Sigma`` 0.63,
+``intervals.theta`` 0.077 and the other intervals 0.24-1.95 (the ``phi``
+upper endpoint became unbounded), ``covariance.bandwidth`` became null,
+and ``covariance.method``, ``covariance.sigma_min_eigenvalue_ratio`` and
+``diagnostics.jacobian_condition`` were added.  Estimates, moments and the
+other six files stayed byte-identical.  ``estimate --bandwidth 13`` on the
+golden path (13 is the old automatic bandwidth) still reproduces the
+previous file's ``covariance.A`` byte for byte.
 """
 
+import json
 from pathlib import Path
+
+import numpy as np
 
 from dexpou.cli import main
 
@@ -60,3 +76,41 @@ def test_outputs_match_golden_bytes(tmp_path, monkeypatch, capsys):
 def test_golden_set_is_complete():
     written = {name for _, files, _ in RUNS for name in files}
     assert written == {p.name for p in GOLDEN.iterdir()}
+
+
+# covariance.A, Sigma and intervals of estimate.json before the model's A
+# became the default, when the automatic HAC bandwidth of this path was 13
+HAC_A = [
+    [3.757739870273678, 5.209103663210793, 18.64078881734954,
+     5.001601231083301],
+    [5.209103663210793, 17.34126718409573, 52.86796222228488,
+     16.616499261915273],
+    [18.64078881734954, 52.86796222228488, 197.78701900873122,
+     50.809961872719065],
+    [5.001601231083301, 16.616499261915273, 50.809961872719065,
+     15.940456214420967],
+]
+HAC_SIGMA_DIAG = [20.12482474534432, 74.69308820732971, 59.344638719606735,
+                  441.5613805222069]
+HAC_INTERVALS = {
+    "p": [0.33130448977575555, 0.724616984396846],
+    "rho": [0.6758067165713786, 1.4335322071267516],
+    "xi": [0.28248661284343707, 0.9578887565834189],
+    "theta": [1.3512920807088036, 3.1936212610058807],
+}
+
+
+def test_hac_bandwidth_reproduces_previous_default(tmp_path, monkeypatch):
+    # the HAC path is unchanged: A bit for bit; Sigma and the intervals
+    # moved only with sigma_matrix's switch to the plug-in moments
+    monkeypatch.chdir(tmp_path)
+    assert main(["estimate", str(GOLDEN / "path.csv"), "--bandwidth", "13",
+                 "--out", "hac.json"]) == 0
+    payload = json.loads((tmp_path / "hac.json").read_text())
+    assert payload["covariance"]["A"] == HAC_A
+    assert payload["covariance"]["method"] == "hac"
+    assert np.allclose(np.diag(payload["covariance"]["Sigma"]),
+                       HAC_SIGMA_DIAG, rtol=1e-12, atol=0)
+    for name, expect in HAC_INTERVALS.items():
+        assert np.allclose(payload["intervals"][name], expect,
+                           rtol=1e-12, atol=0)

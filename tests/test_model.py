@@ -13,7 +13,11 @@ from dexpou import (
     jacobian_h,
     jacobian_tilde_h,
     joint_char_fn,
+    model_long_run_cov,
+    observable_autocov,
+    simulate_path,
     stationary_char_fn,
+    stationary_cumulants,
     tilde_h_map,
 )
 
@@ -133,6 +137,171 @@ class TestAnalyticMoments:
     def test_variance_positive(self, params):
         m = analytic_moments(params, 0.05)
         assert m.m2 - m.m1**2 > 0
+
+
+class TestStationaryCumulants:
+    @given(params=valid_params)
+    @settings(max_examples=60, deadline=None)
+    def test_first_three_match_analytic_moments(self, params):
+        m = analytic_moments(params, 0.05)
+        k = stationary_cumulants(params.theta, params.rho, params.xi, params.p)
+        assert k[0] == pytest.approx(m.m1, rel=1e-12, abs=1e-14)
+        assert k[1] == pytest.approx(m.m2 - m.m1**2, rel=1e-12)
+        assert k[2] == pytest.approx(m.m3 - 3 * m.m1 * m.m2 + 2 * m.m1**3,
+                                     rel=1e-9, abs=1e-12)
+
+    def test_match_series_of_log_char_fn(self):
+        # exact oracle up to order 6: kappa_r = r! [u^r] log CF(u) / i^r
+        sp = pytest.importorskip("sympy")
+        u = sp.Symbol("u")
+        theta, rho, xi, p = (sp.Rational(2), sp.Rational(5, 6),
+                             sp.Rational(5, 8), sp.Rational(3, 5))
+        log_cf = (-(p / theta) * sp.log(1 - sp.I * u * rho)
+                  - ((1 - p) / theta) * sp.log(1 + sp.I * u * xi))
+        series = sp.series(log_cf, u, 0, 7).removeO()
+        exact = [sp.factorial(r) * series.coeff(u, r) / sp.I**r
+                 for r in range(1, 7)]
+        got = stationary_cumulants(2.0, 5 / 6, 5 / 8, 0.6)
+        assert np.allclose(got, [float(sp.re(e)) for e in exact],
+                           rtol=1e-14, atol=0)
+
+
+def _moments_from_cumulants(kappa):
+    mu = [1.0]
+    for n in range(1, len(kappa) + 1):
+        mu.append(sum(math.comb(n - 1, k - 1) * kappa[k - 1] * mu[n - k]
+                      for k in range(1, n + 1)))
+    return np.array(mu)
+
+
+def _step(f, kappa, b):
+    """Coefficients of x -> E[f(b x + E)], E independent with cumulants
+    kappa_r (1 - b^r): the transition after b = e^{-theta h k}."""
+    nu = _moments_from_cumulants([kr * (1 - b ** (r + 1))
+                                  for r, kr in enumerate(kappa)])
+    g = np.zeros(len(f))
+    for m, fm in enumerate(f):
+        for d in range(m + 1):
+            g[d] += fm * math.comb(m, d) * b**d * nu[m - d]
+    return g
+
+
+def _mul(f, g):
+    return np.convolve(f, g)[:len(f)]
+
+
+def autocov_direct(theta, rho, xi, p, h, lag):
+    """Reference Gamma(lag) of (X, X^2, X^3, X X_{+1}) from nested
+    conditional expectations, one lag at a time, with functions of x held
+    as polynomial coefficients of degree <= 6."""
+    q, a = 1.0 - p, math.exp(-theta * h)
+    kappa = [math.factorial(r - 1) * (p * rho**r + (-1) ** r * q * xi**r)
+             / theta for r in range(1, 7)]
+    mu = _moments_from_cumulants(kappa)
+    mean = lambda f: f @ mu
+    step = lambda f, b: _step(f, kappa, b)
+    x = list(np.eye(7))                          # x[n] is x**n
+    # E[Y_j(t) | X_t = x]; the lag product conditions on its first point
+    cond = x[1:4] + [_mul(x[1], step(x[1], a))]
+    gamma = np.empty((4, 4))
+    for j in range(4):
+        later = step(cond[j], a**lag)            # E[Y_j(lag) | X_0 = x]
+        for i in range(3):
+            gamma[i, j] = mean(_mul(x[i + 1], later))
+        if lag > 0:                              # X_0 E[X_1 E[Y_j | X_1] | X_0]
+            inner = _mul(x[1], step(cond[j], a ** (lag - 1)))
+            gamma[3, j] = mean(_mul(x[1], step(inner, a)))
+        elif j < 3:                              # E[X_0^(j+2) X_1]
+            gamma[3, j] = mean(_mul(x[j + 2], step(x[1], a)))
+        else:                                    # E[X_0^2 X_1^2]
+            gamma[3, j] = mean(_mul(x[2], step(x[2], a)))
+    means = np.array([mean(c) for c in cond])
+    return gamma - np.outer(means, means)
+
+
+class TestModelLongRunCov:
+    POINTS = [(2.0, 1 / 1.2, 1 / 1.6, 0.6, H_REF),
+              (0.5, 0.4, 1.25, 0.3, 0.1),
+              (3.0, 2.0, 0.3, 0.85, 0.05)]
+
+    @pytest.mark.parametrize("lag", [0, 1, 2, 7, 60])
+    def test_autocov_matches_direct(self, lag):
+        for point in self.POINTS:
+            got = observable_autocov(*point, lag)
+            expect = autocov_direct(*point, lag)
+            assert np.allclose(got, expect, rtol=1e-11,
+                               atol=1e-13 * np.abs(expect).max())
+
+    def test_geometric_sum_matches_brute_force(self):
+        for point in self.POINTS:
+            theta, h = point[0], point[4]
+            lags = max(1000, math.ceil(40.0 / (theta * h)))
+            brute = autocov_direct(*point, 0)
+            for k in range(1, lags + 1):
+                g = autocov_direct(*point, k)
+                brute += g + g.T
+            A = model_long_run_cov(*point)
+            assert np.allclose(A, brute, rtol=1e-12, atol=0)
+
+    def test_power_block_matches_joint_char_fn(self):
+        # exact oracle for Cov(X_0^i, X_k^j), i, j <= 3: the Taylor series
+        # of the joint MGF of (X_0, X_k), the real form of joint_char_fn,
+        # with e^{-theta h k} = 1/3 and exact rational parameters
+        sp = pytest.importorskip("sympy")
+        u, v, t = sp.symbols("u v t")
+        theta, rho, xi, p = (sp.Integer(2), sp.Rational(5, 6),
+                             sp.Rational(5, 8), sp.Rational(3, 5))
+        decay = sp.Rational(1, 3)
+        plr, qlr = p / theta, (1 - p) / theta
+        w = t * (u + v * decay)
+        log_mgf = (-plr * sp.log(1 - rho * w) - qlr * sp.log(1 + xi * w)
+                   + plr * (sp.log(1 - rho * decay * t * v)
+                            - sp.log(1 - rho * t * v))
+                   + qlr * (sp.log(1 + xi * decay * t * v)
+                            - sp.log(1 + xi * t * v)))
+        series = sp.series(log_mgf, t, 0, 7).removeO()
+        mgf, term = sp.Integer(1), sp.Integer(1)
+        for n in range(1, 7):   # exp of a series with no constant term
+            term = sp.expand(term * series / n)
+            term = sum(term.coeff(t, k) * t**k for k in range(7))
+            mgf += term
+        mgf = sp.expand(mgf)
+
+        def moment(i, j):
+            c = sp.Poly(mgf.coeff(t, i + j), u, v).coeff_monomial(u**i * v**j)
+            return sp.factorial(i) * sp.factorial(j) * c
+
+        exact = np.array([[float(moment(i, j) - moment(i, 0) * moment(0, j))
+                           for j in range(1, 4)] for i in range(1, 4)])
+        for lag in (1, 4):
+            h = math.log(3.0) / (2.0 * lag)
+            got = observable_autocov(2.0, 5 / 6, 5 / 8, 0.6, h, lag)[:3, :3]
+            assert np.allclose(got, exact, rtol=1e-13, atol=0)
+
+    def test_symmetric_psd(self):
+        for point in self.POINTS:
+            A = model_long_run_cov(*point)
+            assert np.array_equal(A, A.T)
+            eig = np.linalg.eigvalsh(A)
+            assert eig[0] > 0
+
+    def test_lag_zero_and_one_against_sample_covariances(self, ref_params):
+        # batch means over 40 blocks of 25000 steps (1000 correlation
+        # lengths each) give the standard error of each sample covariance
+        n, batches = 1_000_001, 40
+        x = simulate_path(ref_params, 0.0, H_REF, n, seed=31).values
+        Y = np.vstack([x[:-1], x[:-1] ** 2, x[:-1] ** 3, x[:-1] * x[1:]])
+        Y -= Y.mean(axis=1, keepdims=True)
+        point = (2.0, ref_params.rho, ref_params.xi, 0.6, H_REF)
+        m = (Y.shape[1] - 1) // batches * batches
+        for lag in (0, 1):
+            gamma = observable_autocov(*point, lag)
+            for i in range(4):
+                for j in range(4):
+                    block = (Y[i, :m] * Y[j, lag:lag + m]).reshape(batches, -1)
+                    means = block.mean(axis=1)
+                    se = means.std(ddof=1) / math.sqrt(batches)
+                    assert abs(means.mean() - gamma[i, j]) < 4 * se, (lag, i, j)
 
 
 class TestParameterMaps:
