@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft
-from scipy.special import ndtri
 
 from .errors import SingularJacobian, TooShort
 from .estimate import EstimationResult, observable_series
@@ -125,6 +124,9 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     buffer that the FFT consumes; peak memory is that buffer plus the
     spectrum, about twice the series.
     """
+    # imported here: only this model-free cross-check needs scipy
+    from scipy.fft import next_fast_len, rfft
+
     X = np.atleast_2d(np.asarray(series, dtype=float))
     k, m = X.shape
     if m < MIN_SERIES_LENGTH:
@@ -216,7 +218,7 @@ def confidence_intervals(result: EstimationResult, cov: CovarianceEstimate,
     transform of the rho and xi intervals."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
-    z = ndtri(0.5 * (1.0 + level))
+    z = NormalDist().inv_cdf(0.5 * (1.0 + level))
     estimates = {
         "p": result.p_hat,
         "rho": result.rho_hat,

@@ -232,8 +232,10 @@ def cmd_estimate(options: dict) -> int:
     payload = {"provenance": _provenance(options)}
     try:
         result = estimate_all(path, grid_size=options["grid"])
+        corr_length = 1.0 / (result.theta_hat * path.h)
         payload["estimates"] = result.estimates_dict()
         payload["diagnostics"] = {
+            "correlation_length": corr_length,
             "root_bracket": list(result.root_bracket),
             "sign_change_count": result.sign_change_count,
             "g_prime_sign_constant": result.g_prime_sign_constant,
@@ -257,7 +259,6 @@ def cmd_estimate(options: dict) -> int:
             **{name: list(lohi) for name, lohi in sorted(ci.intervals.items())},
         }
         payload["warnings"] = list(ci.warnings)
-        corr_length = 1.0 / (result.theta_hat * path.h)
         if cov.bandwidth is not None and cov.bandwidth < corr_length:
             payload["warnings"].append(
                 f"bandwidth {cov.bandwidth} is shorter than the correlation "

@@ -42,8 +42,8 @@ class DiscriminantNonpositive(EstimationError):
 
 
 class NoRoot(EstimationError):
-    """The scan found no sign change of g on (0, 1): model misfit or
-    too-small sample."""
+    """The scan found no sign change of g on (0, 1) (model misfit or
+    too-small sample), or the refine of a bracket did not converge."""
 
     stage = "solve_p"
 

@@ -12,17 +12,20 @@ the moment pass of a fit needs memory of order the chunk, not the path.
 Every precondition failure raises a typed error from :mod:`dexpou.errors`;
 nothing is clamped or silently repaired.  Root uniqueness is diagnosed
 (sign-change count over a grid), never assumed: with multiple sign changes
-the solver refuses and reports all roots.
+the solver refuses and reports all roots.  Each bracket is refined by an
+in-package port of Brent's method (the algorithm of ``scipy.optimize.brentq``)
+on Python floats, through the same multiply-only g kernel that the grid scan
+evaluates on arrays, so the estimate path needs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     DiscriminantNonpositive,
@@ -61,6 +64,8 @@ GRID_EPS = 1e-6          # root search domain is [GRID_EPS, 1 - GRID_EPS]
 DEFAULT_GRID_SIZE = 2001
 ROOT_G_TOL = 1e-12       # |g| tolerance at the refined root
 ROOT_WIDTH_TOL = 1e-14   # bracket width tolerance of the refiner
+ROOT_RTOL = 4 * sys.float_info.epsilon  # relative tolerance of the refiner
+ROOT_MAXITER = 100       # refiner iterations before NoRoot
 MOMENT_CHUNK = 1 << 16   # rows per block of the moment sums
 
 
@@ -262,6 +267,18 @@ def compute_f(moments: EmpiricalMoments, theta_hat: float) -> FVector:
     return f
 
 
+def _g(p, f1, d, f3, sqrt):
+    """g(p) from ``+ - * /`` and one ``sqrt``: correctly rounded IEEE
+    operations only, so numpy arrays with ``np.sqrt`` and Python floats
+    with ``math.sqrt`` give the same bits.  Cubes are products because
+    ``x**3`` of a negative numpy base leaves numpy's fast power loop."""
+    q = 1.0 - p
+    s = sqrt(p * q * d)
+    a = f1 * p + s
+    b = f1 * q - s
+    return q * q * (a * a * a) + p * p * (b * b * b) - f3 * (p * p) * (q * q)
+
+
 def g_values(p, f: FVector) -> np.ndarray:
     """Vectorized g over an array of p values in (0, 1)."""
     p = np.asarray(p, dtype=float)
@@ -270,16 +287,76 @@ def g_values(p, f: FVector) -> np.ndarray:
         raise ValueError(f"f2 - f1^2 = {d:.6e} < 0")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
-    q = 1.0 - p
-    s = np.sqrt(p * q * d)
-    return (q**2 * (f.f1 * p + s) ** 3
-            + p**2 * (f.f1 * q - s) ** 3
-            - f.f3 * p**2 * q**2)
+    return _g(p, f.f1, d, f.f3, np.sqrt)
 
 
 def g_of_p(p: float, f: FVector) -> float:
     """The scalar root function whose zero in (0, 1) is the p estimate."""
     return float(g_values(p, f))
+
+
+def _brent(fun, a: float, b: float, xtol: float = ROOT_WIDTH_TOL,
+           rtol: float = ROOT_RTOL, maxiter: int = ROOT_MAXITER) -> float:
+    """Root of ``fun`` on the sign-changing bracket ``[a, b]`` by Brent's
+    method: inverse quadratic interpolation, secant steps and bisection.
+
+    A line-for-line port of the C ``brentq`` behind ``scipy.optimize.brentq``
+    (same steps, same step-acceptance test, same stopping rule), so it
+    returns the same bits for the same ``fun``.  An exact zero at an end
+    point is returned as is.  Raises :class:`NoRoot` when ``maxiter``
+    iterations do not shrink the bracket below
+    ``xtol + rtol |x|``.
+    """
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fun(xpre), fun(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError(f"g has the same sign at both ends of "
+                         f"[{a!r}, {b!r}]")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fun(xcur)
+    raise NoRoot(f"Brent refine of the bracket [{a!r}, {b!r}] did not "
+                 f"converge in {maxiter} iterations")
 
 
 def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
@@ -302,10 +379,15 @@ def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
 
 def solve_p(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> RootScan:
     """Scan g with :func:`scan_g`, count its sign changes, and refine the
-    bracketing interval with Brent's method.
+    bracketing interval with the in-package Brent refine :func:`_brent`
+    (absolute tolerance ``ROOT_WIDTH_TOL``, relative ``ROOT_RTOL``), which
+    evaluates g on Python floats and returns the bits
+    ``scipy.optimize.brentq`` would.
 
     Exactly one sign change is required; zero raises :class:`NoRoot` and
     more than one raises :class:`MultipleRoots` carrying every refined root.
+    A refine that does not converge in ``ROOT_MAXITER`` iterations raises
+    :class:`NoRoot`.
     The numerical-derivative sign-constancy of g over the grid is reported
     as a diagnostic (a constant-sign derivative certifies uniqueness).
     """
@@ -313,8 +395,12 @@ def solve_p(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> RootScan:
     dg = np.diff(scan.g)
     g_prime_constant = bool(np.all(dg >= 0.0) or np.all(dg <= 0.0))
 
-    roots = [lo if lo == hi else
-             brentq(g_of_p, lo, hi, args=(f,), xtol=ROOT_WIDTH_TOL)
+    f1, d, f3 = f.f1, f.discriminant, f.f3
+
+    def g(p):
+        return _g(p, f1, d, f3, math.sqrt)
+
+    roots = [lo if lo == hi else _brent(g, float(lo), float(hi))
              for lo, hi in scan.brackets]
     if not roots:
         raise NoRoot("g(p) has no sign change on (0, 1)")

@@ -296,6 +296,18 @@ class TestConfidenceIntervals:
         assert any("theta" in w for w in ci.warnings)
         assert "eta" in ci.intervals  # rho interval still valid
 
+    def test_normal_quantile_matches_ndtri(self):
+        # unit variance and n = 1 about theta = 0: the upper end is z itself
+        ndtri = pytest.importorskip("scipy.special").ndtri
+        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4),
+                                 bandwidth=None, n=1)
+        result = _fake_result(theta_hat=0.0)
+        levels = np.linspace(0.0, 1.0, 20003)[1:-1]
+        z = np.array([confidence_intervals(result, cov, level)
+                      .intervals["theta"][1] for level in levels.tolist()])
+        expect = ndtri(0.5 * (1.0 + levels))
+        assert np.all(np.abs(z - expect) <= 8 * np.spacing(expect))
+
     def test_bad_level_rejected(self):
         cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4),
                                  bandwidth=5, n=100)

@@ -34,6 +34,35 @@ def test_import_leaves_slow_scipy_modules_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_import_and_default_estimate_load_no_scipy(tmp_path):
+    # a default estimate needs numpy alone; --bandwidth loads scipy.fft
+    src, model, hac = (str(tmp_path / name)
+                       for name in ("p.csv", "e.json", "hac.json"))
+    assert run(["simulate", "--n", 2000, "--seed", 3, "--out", src]) == 0
+    code = (
+        "import sys\n"
+        "from dexpou.cli import main\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(scipy_modules())\n"
+        f"print(main(['estimate', {src!r}, '--out', {model!r}]))\n"
+        "print(scipy_modules())\n"
+        f"print(main(['estimate', {src!r}, '--bandwidth', '13', "
+        f"'--out', {hac!r}]))\n"
+        "print('scipy.fft' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dexpou.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines() == ["[]", "0", "[]", "0", "True"]
+    model, hac = (json.loads(Path(name).read_text()) for name in (model, hac))
+    assert model["covariance"]["method"] == "model"
+    assert hac["covariance"]["method"] == "hac"
+    assert hac["covariance"]["bandwidth"] == 13
+    assert hac["estimates"] == model["estimates"]
+
+
 class TestSimulateCommand:
     def test_writes_csv_and_sidecar(self, tmp_path):
         out = tmp_path / "p.csv"
@@ -146,6 +175,9 @@ class TestEstimateCommand:
         assert hac["covariance"]["method"] == "hac"
         assert hac["covariance"]["bandwidth"] == 200
         for payload in (model, hac):
+            theta = payload["estimates"]["theta"]
+            assert payload["diagnostics"]["correlation_length"] == \
+                1.0 / (theta * 0.02)
             cond = payload["diagnostics"]["jacobian_condition"]
             assert 1.0 <= cond < 1e12
             ratio = payload["covariance"]["sigma_min_eigenvalue_ratio"]

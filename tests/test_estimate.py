@@ -36,7 +36,16 @@ from dexpou.errors import (
     NonPositiveVariance,
     NoRoot,
 )
-from dexpou.estimate import GRID_EPS, MOMENT_CHUNK, ROOT_G_TOL
+from dexpou.estimate import (
+    GRID_EPS,
+    MOMENT_CHUNK,
+    ROOT_G_TOL,
+    ROOT_WIDTH_TOL,
+    _brent,
+    _g,
+    g_values,
+    scan_g,
+)
 
 from conftest import H_REF, random_valid_params
 
@@ -268,6 +277,94 @@ class TestSolveP:
         f = exact_f(ref_params)
         assert solve_p(f, grid_size=11).sign_change_count == 1
         assert solve_p(f, grid_size=2001).sign_change_count == 1
+
+
+def scalar_g(f: FVector):
+    """g on Python floats, as the root refine evaluates it."""
+    return lambda p: _g(p, f.f1, f.discriminant, f.f3, math.sqrt)
+
+
+def simulated_fs(n: int, reps: int):
+    """Reduced statistics of ``reps`` simulated fits at length ``n``;
+    fits that fail before the root problem are skipped."""
+    params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
+    fs = []
+    for j in range(reps):
+        path = simulate_path(params, 0.0, H_REF, n, seed=41, replication=j)
+        try:
+            m = empirical_moments(path)
+            fs.append(compute_f(m, estimate_theta(m)))
+        except EstimationError:
+            continue
+    return fs
+
+
+class TestGKernel:
+    @pytest.fixture(scope="class")
+    def fs(self, ref_params):
+        rng = np.random.default_rng(99)
+        return ([exact_f(ref_params),
+                 FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0),
+                 no_root_f(ref_params)]
+                + [exact_f(random_valid_params(rng)) for _ in range(5)]
+                + simulated_fs(300, 3))
+
+    def test_scalar_kernel_matches_grid_bits(self, fs):
+        grid = np.linspace(GRID_EPS, 1.0 - GRID_EPS, 2001)
+        for f in fs:
+            g = scalar_g(f)
+            scalar = np.array([g(p) for p in grid.tolist()])
+            assert np.array_equal(scalar, g_values(grid, f))
+            assert [g_of_p(p, f) for p in grid[::100].tolist()] == \
+                scalar[::100].tolist()
+
+    def test_grid_values_match_power_formula(self, fs):
+        # the cubes as products change only the rounding of g
+        p = np.linspace(GRID_EPS, 1.0 - GRID_EPS, 2001)
+        q = 1.0 - p
+        for f in fs:
+            s = np.sqrt(p * q * f.discriminant)
+            old = (q**2 * (f.f1 * p + s) ** 3 + p**2 * (f.f1 * q - s) ** 3
+                   - f.f3 * p**2 * q**2)
+            assert np.max(np.abs(g_values(p, f) - old)) <= \
+                1e-14 * np.max(np.abs(old))
+
+
+class TestBrentRefine:
+    def test_matches_scipy_brentq_bits(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        brackets = [(f, lo, hi)
+                    for n in (300, 1000, 10_000)
+                    for f in simulated_fs(n, 400)
+                    for lo, hi in scan_g(f).brackets if lo < hi]
+        assert len(brackets) >= 1000
+        for f, lo, hi in brackets:
+            g = scalar_g(f)
+            ours = _brent(g, float(lo), float(hi))
+            theirs = brentq(g, lo, hi, xtol=ROOT_WIDTH_TOL)
+            assert ours == theirs, (f, lo, hi)
+
+    def test_exact_zero_at_an_end_point(self):
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        g = scalar_g(FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0))
+        assert g(0.5) == 0.0
+        for lo, hi in ((0.5, 0.75), (0.25, 0.5), (0.5, 0.5)):
+            assert _brent(g, lo, hi) == 0.5
+            assert brentq(g, lo, hi, xtol=ROOT_WIDTH_TOL) == 0.5
+
+    def test_no_convergence_raises_typed(self, ref_params):
+        f = exact_f(ref_params)
+        (lo, hi), = scan_g(f).brackets
+        with pytest.raises(NoRoot, match=r"did not converge in 1 iter") as exc:
+            _brent(scalar_g(f), float(lo), float(hi), maxiter=1)
+        assert exc.value.stage == "solve_p"
+        assert repr(float(lo)) in str(exc.value)
+        assert repr(float(hi)) in str(exc.value)
+
+    def test_same_signs_rejected(self, ref_params):
+        g = scalar_g(exact_f(ref_params))
+        with pytest.raises(ValueError, match="same sign"):
+            _brent(g, 0.1, 0.2)
 
 
 class TestRecoverRhoXi:

@@ -35,6 +35,18 @@ and ``covariance.method``, ``covariance.sigma_min_eigenvalue_ratio`` and
 other six files stayed byte-identical.  ``estimate --bandwidth 13`` on the
 golden path (13 is the old automatic bandwidth) still reproduces the
 previous file's ``covariance.A`` byte for byte.
+
+``estimate.json``, ``experiment.csv``, ``gcurve_f.csv`` and
+``gcurve_input.csv`` were re-captured when g(p) came to be evaluated with
+products in place of ``**`` cubes, the root refine moved from
+``scipy.optimize.brentq`` to the in-package port of the same algorithm,
+and the normal quantile from ``scipy.special.ndtri`` to
+``statistics.NormalDist``.  ``scripts/golden_drift.py`` measured:
+intervals <= 8.2e-16 (``eta``; the others <= 2.4e-16), the estimates of
+``experiment.csv`` <= 4.4e-16, gcurve ``g`` <= 5.4e-16 and ``g_prime``
+<= 1.9e-13; ``diagnostics.correlation_length`` was added to
+``estimate.json``.  Its estimates and moments and the other three files
+stayed byte-identical.
 """
 
 import json
