@@ -63,6 +63,25 @@ def test_import_and_default_estimate_load_no_scipy(tmp_path):
     assert hac["estimates"] == model["estimates"]
 
 
+def test_simulate_and_experiment_load_no_scipy(tmp_path):
+    # the AR(1) recursion of simulate_path is numpy-only
+    path, table = (str(tmp_path / name) for name in ("p.csv", "e.csv"))
+    code = (
+        "import sys\n"
+        "from dexpou.cli import main\n"
+        f"print(main(['simulate', '--n', '2000', '--seed', '3', "
+        f"'--out', {path!r}]))\n"
+        f"print(main(['experiment', '--seeds', '2', '--n-values', '300', "
+        f"'--out', {table!r}]))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(dexpou.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.splitlines() == [path, "0", table, "0", "[]"]
+
+
 class TestSimulateCommand:
     def test_writes_csv_and_sidecar(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -47,6 +47,21 @@ intervals <= 8.2e-16 (``eta``; the others <= 2.4e-16), the estimates of
 <= 1.9e-13; ``diagnostics.correlation_length`` was added to
 ``estimate.json``.  Its estimates and moments and the other three files
 stayed byte-identical.
+
+``path.csv``, ``estimate.json``, ``experiment.csv`` and
+``gcurve_input.csv`` were re-captured when ``simulate_path`` came to run
+the AR(1) recursion in place with numpy (a blocked, scaled cumulative sum)
+in place of ``scipy.signal.lfilter``.  The jump sums are the same draws bit
+for bit, so the paths are the same realizations; only the rounding of
+``x`` changed.  ``scripts/golden_drift.py`` measured: ``x`` 3.9e-16, the
+estimates <= 4.7e-15 (``theta``), the moments <= 8.2e-16, ``f``
+<= 4.4e-15, ``covariance.A`` 3.9e-16, ``Sigma`` 8.6e-13, the intervals
+<= 1.5e-13 (``theta``), the diagnostics <= 3.3e-13
+(``sigma_min_eigenvalue_ratio``), the estimates of ``experiment.csv``
+<= 4.4e-16, gcurve ``g`` 1.0e-14 and ``g_prime`` 4.6e-13.  The other
+three files stayed byte-identical.  The path before this change is kept,
+byte for byte, as ``tests/fixtures/hac_path.csv``: the HAC test below is
+pinned to it.
 """
 
 import json
@@ -57,6 +72,9 @@ import numpy as np
 from dexpou.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+# the golden path.csv as simulated through scipy.signal.lfilter, the input
+# of the HAC figures below
+HAC_PATH = Path(__file__).parent / "fixtures" / "hac_path.csv"
 
 # (argv, files it writes, expected standard output), run in this order
 RUNS = [
@@ -116,7 +134,7 @@ def test_hac_bandwidth_reproduces_previous_default(tmp_path, monkeypatch):
     # the HAC path is unchanged: A bit for bit; Sigma and the intervals
     # moved only with sigma_matrix's switch to the plug-in moments
     monkeypatch.chdir(tmp_path)
-    assert main(["estimate", str(GOLDEN / "path.csv"), "--bandwidth", "13",
+    assert main(["estimate", str(HAC_PATH), "--bandwidth", "13",
                  "--out", "hac.json"]) == 0
     payload = json.loads((tmp_path / "hac.json").read_text())
     assert payload["covariance"]["A"] == HAC_A

@@ -1,7 +1,9 @@
 """Simulator law checks: the one-step decomposition against the analytic
-stationary moments, plus determinism."""
+stationary moments, plus determinism, and the blocked AR(1) recursion
+against a sequential loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from dexpou import (
     simulate_path,
     stationary_char_fn,
 )
+
+from dexpou.simulate import _MAX_BLOCK, _SPAN, _ar1_in_place
 
 from conftest import H_REF
 
@@ -66,6 +70,7 @@ class TestTransitionJumpSum:
         rng = make_rng(12)
         draws = draw_transition_jump_sum(params, H_REF, rng, size=100_000)
         assert np.all(draws == 0.0)
+        assert draws.dtype == np.float64
 
     def test_mean_and_variance(self, ref_params, ref_moments):
         # stationarity forces E = m1 (1 - e^{-th h}), Var = (m2-m1^2)(1-e^{-2 th h})
@@ -145,3 +150,65 @@ class TestSimulatePath:
             dev = abs(empirical_char_fn(path, u)
                       - stationary_char_fn(ref_params, u))
             assert dev < 0.02
+
+
+def sequential_ar1(jumps, a, x0):
+    """X_j = a X_{j-1} + J_j, one step at a time, X_0 = x0."""
+    out = np.empty(len(jumps))
+    y = x0
+    for j, jump in enumerate(jumps.tolist()):
+        y = a * y + jump
+        out[j] = y
+    return out
+
+
+class TestAR1Kernel:
+    """The blocked in-place recursion equals the sequential loop up to
+    rounding, whatever the block layout."""
+
+    @pytest.mark.parametrize("rate, n, x0", [
+        (0.04, 10_250, 0.0),           # 6 blocks of 1600 and a tail of 650
+        (0.04, 3_201, -2.0),           # 2 blocks and a tail of 1 step
+        (0.04, 4_800, 0.5),            # whole blocks only, no tail
+        (2.0, 100_003, 0.3),           # blocks of 32 steps
+        (_SPAN, 5_000, 1.0),           # blocks of 1 step
+        (3.0 * _SPAN, 5_000, -1.0),    # blocks of 1 step, a ~ 1e-84
+        (1e-7, 1_000, 0.0),            # one block shorter than _MAX_BLOCK
+        (1e-4, 3 * _MAX_BLOCK + 7, 0.0),   # blocks capped at _MAX_BLOCK
+        (0.04, 5_000, 1e8),            # large |x0|
+        (0.04, 2, 0.7),                # the shortest path
+    ])
+    def test_matches_sequential_loop(self, ref_params, rate, n, x0):
+        jumps = draw_transition_jump_sum(ref_params, H_REF, make_rng(21),
+                                         size=n)
+        expect = sequential_ar1(jumps, math.exp(-rate), x0)
+        got = _ar1_in_place(jumps.copy(), rate, x0)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_overwrites_its_input(self, ref_params):
+        jumps = draw_transition_jump_sum(ref_params, H_REF, make_rng(22),
+                                         size=5_000)
+        assert _ar1_in_place(jumps, 0.04, 0.0) is jumps
+
+    @pytest.mark.parametrize("rate", [1e-7, 0.04, 2.0, 3.0 * _SPAN])
+    def test_no_jumps_is_pure_decay(self, rate):
+        # against x0 e^{-rate j}: the powers a**j of the rounded
+        # a = e^{-rate} drift by up to half an ulp per power (8e-13 at
+        # j = 7001, far beyond the kernel's error)
+        n, x0 = 7_001, 1.5
+        got = _ar1_in_place(np.zeros(n), rate, x0)
+        expect = x0 * np.exp(-rate * np.arange(1, n + 1))
+        assert np.max(np.abs(got - expect)) <= 1e-13 * x0
+
+    def test_simulate_path_allocates_no_second_path(self, ref_params):
+        # jump sums and path share one array, and the Poisson counts are
+        # freed before the sums are made: 1.18x measured, 2.06x with lfilter
+        n = 1_000_000
+        simulate_path(ref_params, 0.0, H_REF, 100, seed=1)  # warm caches
+        tracemalloc.start()
+        try:
+            path = simulate_path(ref_params, 0.0, H_REF, n, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * (path.burn_in + n)
