@@ -132,8 +132,12 @@ def draw_transition_jump_sum(params: ModelParams, h: float,
     counts = rng.poisson(params.lam * h, n)
     total = int(counts.sum())
     scale = np.exp(params.theta * h * rng.random(total))
-    jumps = draw_double_exp(params.p, params.eta * scale, params.phi * scale,
-                            rng, size=total)
+    # the draws of draw_double_exp(p, eta * scale, phi * scale), without its
+    # re-checks: mag / (-phi * scale) is -mag / (phi * scale) bit for bit
+    side = rng.random(total)
+    mag = rng.standard_exponential(total)
+    scale *= np.where(side < params.p, params.eta, -params.phi)
+    jumps = mag / scale
     hit = np.flatnonzero(counts > 0)
     step_of_jump = np.repeat(hit, counts[hit])
     del counts  # freed before the sums: one path-sized array at a time

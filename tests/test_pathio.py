@@ -13,7 +13,7 @@ from dexpou import (
     write_metadata,
     write_path_csv,
 )
-from dexpou.pathio import fmt, metadata_path
+from dexpou.pathio import _write_float_csv, fmt, metadata_path
 
 from conftest import H_REF
 
@@ -162,6 +162,82 @@ def test_writer_bytes_match_fmt_across_blocks(tmp_path):
     expected = "t,x\n" + "".join(
         f"{fmt(t)},{fmt(x)}\n" for t, x in zip(path.times, path.values))
     assert out.read_bytes() == expected.encode()
+
+
+def _csv_text(header, columns):
+    """The writer's output built value by value from :func:`fmt`."""
+    return ",".join(header) + "\n" + "".join(
+        ",".join(fmt(v) for v in row) + "\n" for row in zip(*columns))
+
+
+def _assert_same_text(got, expected):
+    # name the first differing line rather than diff megabytes of text
+    for i, (a, b) in enumerate(zip(got.splitlines(), expected.splitlines())):
+        assert a == b, f"line {i + 1}"
+    assert got == expected
+
+
+def _edge_values():
+    """Values on both sides of every case the %.17g kernel tells apart."""
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    pow2 = 2.0 ** np.arange(-1074, 1024)
+    pow10 = 10.0 ** np.arange(-323, 309)
+    powers = np.concatenate([pow2, pow10])
+    special = np.array([
+        1e-4, np.nextafter(1e-4, 0), 1e17, 99999999999999984.0,
+        9.9999999999999998e-20, 1e16, np.nextafter(1e16, 0),
+        8000000000000001 / 4, 8000000000000003 / 4, 9007199254740991 / 4,
+        0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-280, 1e280,
+        np.nextafter(1e-280, 0), np.nextafter(1e280, np.inf),
+    ])
+    return {
+        "random-bits": bits[np.isfinite(bits)],
+        "powers": np.concatenate([powers, np.nextafter(powers, 0),
+                                  np.nextafter(powers, np.inf), -powers]),
+        "special": np.concatenate([special, -special]),
+        "normals": rng.standard_normal(5_000)
+                   * 10.0 ** rng.integers(-30, 30, 5_000),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_edge_values()))
+def test_writers_match_fmt_on_edge_values(tmp_path, name):
+    values = _edge_values()[name]
+    assert values.size > 0
+    path = SamplePath(h=0.013, values=values)
+    out = tmp_path / "p.csv"
+    write_path_csv(path, out)
+    _assert_same_text(out.read_text(),
+                      _csv_text(("t", "x"), (path.times, path.values)))
+    columns = (values, -values[::-1], np.roll(values, 7) / 3.0)
+    _write_float_csv(out, ("a", "b", "c"), columns)
+    _assert_same_text(out.read_text(), _csv_text(("a", "b", "c"), columns))
+
+
+@pytest.mark.parametrize("h", [0.02, 0.001])
+def test_time_column_matches_fmt(tmp_path, h):
+    # t_j = j h: short decimals that are not exact in binary
+    path = SamplePath(h=h, values=np.zeros(30_000))
+    out = tmp_path / "p.csv"
+    write_path_csv(path, out)
+    _assert_same_text(out.read_text(),
+                      _csv_text(("t", "x"), (path.times, path.values)))
+
+
+def test_write_peak_memory_small_multiple_of_path(tmp_path, ref_params):
+    # the text is formatted and written block by block, never held whole
+    n = 200_000
+    path = simulate_path(ref_params, 0.0, H_REF, n, seed=33)
+    out = tmp_path / "p.csv"
+    write_path_csv(path, out)  # lookup tables built before tracing
+    tracemalloc.start()
+    try:
+        write_path_csv(path, out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (2 * 8 * n)
 
 
 def test_read_peak_memory_small_multiple_of_path(tmp_path, ref_params):

@@ -86,6 +86,24 @@ class TestTransitionJumpSum:
         se_var = centered.std() / math.sqrt(n)
         assert abs(draws.var() - var_expect) < 4.0 * se_var
 
+    @pytest.mark.parametrize("p, lam, h", [
+        (0.6, 2.0, 0.02), (0.01, 2.0, 0.5), (0.99, 5.0, 0.1),
+        (0.5, 100.0, 0.1),  # lam h = 10
+    ])
+    def test_same_bits_as_public_draw(self, p, lam, h):
+        # the composition the jump sums were first built from
+        params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=p, lam=lam)
+        for seed in (1, 2, 3):
+            rng = make_rng(seed)
+            counts = rng.poisson(lam * h, 5_000)
+            scale = np.exp(params.theta * h * rng.random(int(counts.sum())))
+            jumps = draw_double_exp(p, params.eta * scale, params.phi * scale,
+                                    rng, size=len(scale))
+            expect = np.bincount(np.repeat(np.arange(5_000), counts),
+                                 weights=jumps, minlength=5_000)
+            got = draw_transition_jump_sum(params, h, make_rng(seed), size=5_000)
+            assert got.tobytes() == expect.tobytes()
+
     def test_time_homogeneity(self, ref_params):
         # the draw law does not depend on the step position in the stream
         rng = make_rng(14)
