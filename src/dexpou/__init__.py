@@ -47,7 +47,7 @@ from .estimate import (
     estimate_all,
     estimate_from_moments,
     estimate_theta,
-    g_of_p,
+    observable_series,
     recover_rho_xi,
     solve_p,
 )
@@ -58,7 +58,6 @@ from .asymptotics import (
     confidence_intervals,
     covariance_estimate,
     long_run_cov,
-    observable_series,
     sigma_matrix,
 )
 from .pathio import read_path_csv, write_metadata, write_path_csv

@@ -14,9 +14,10 @@ spectral window, so the weighted lag sum is taken in the frequency domain
 without forming any lagged covariance: A is the cross-periodogram of the
 zero-padded series weighted by the Fejer kernel, which has a closed form.
 Scaling each spectrum by the square root of the weights makes A one Gram
-product.  This costs one forward FFT per series, taken in one zero-padded
-buffer, and memory of about twice the series.  A bandwidth shorter than
-the correlation length ``1/(theta h)`` biases this estimate low.
+product.  This costs one forward ``numpy.fft`` transform per series, taken
+in one buffer zero-padded to a 5-smooth length, and memory of about twice
+the series.  A bandwidth shorter than the correlation length ``1/(theta h)``
+biases this estimate low.
 
 The covariance of the parameter estimates follows by the delta method:
 ``Sigma = B A B^T`` with ``B = (grad_theta h)^{-1} (grad_mu h~)``, the
@@ -47,7 +48,6 @@ from .simulate import SamplePath
 __all__ = [
     "CovarianceEstimate",
     "ConfidenceIntervals",
-    "observable_series",
     "auto_bandwidth",
     "long_run_cov",
     "sigma_matrix",
@@ -101,6 +101,21 @@ def auto_bandwidth(m: int) -> int:
     return math.ceil(m ** (1.0 / 3.0))
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth ``2^a 3^b 5^c >= n``: a length whose real FFT
+    factors into radix-2, 3 and 5 passes."""
+    best = 1 << max(n - 1, 0).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest power-of-2 multiple of 3^b 5^c that reaches n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndarray:
     """Bartlett-tapered long-run covariance matrix of the given series.
 
@@ -111,9 +126,9 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
 
         A[i, j] = (1 / (m nfft)) sum_f W(f) Re(conj(F_i(f)) F_j(f)),
 
-    where F is the DFT of the series zero-padded to ``nfft >= m + L + 1``
-    (so no lag up to L wraps around) and W is the DFT of the circular
-    Bartlett lag window, the Fejer kernel
+    where F is the ``numpy.fft`` DFT of the series zero-padded to the
+    5-smooth length ``nfft >= m + L + 1`` (so no lag up to L wraps around)
+    and W is the DFT of the circular Bartlett lag window, the Fejer kernel
 
         W(0) = L + 1,  W(f) = sin^2(pi f (L+1) / nfft) / ((L+1) sin^2(pi f / nfft)),
 
@@ -124,9 +139,6 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     buffer that the FFT consumes; peak memory is that buffer plus the
     spectrum, about twice the series.
     """
-    # imported here: only this model-free cross-check needs scipy
-    from scipy.fft import next_fast_len, rfft
-
     X = np.atleast_2d(np.asarray(series, dtype=float))
     k, m = X.shape
     if m < MIN_SERIES_LENGTH:
@@ -135,10 +147,10 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     if L < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth!r}")
     L = min(L, m - 1)
-    nfft = next_fast_len(m + L + 1, real=True)
+    nfft = _next_fast_len(m + L + 1)
     buf = np.zeros((k, nfft))
     np.subtract(X, X.mean(axis=1, keepdims=True), out=buf[:, :m])
-    F = rfft(buf, axis=1, overwrite_x=True)
+    F = np.fft.rfft(buf, axis=1)
     del buf
     f = np.arange(1, nfft // 2 + 1)
     W = np.empty(nfft // 2 + 1)

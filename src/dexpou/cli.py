@@ -139,25 +139,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fits(value, kind, default) -> bool:
+    """Whether a JSON config value fits an option of type ``kind`` and
+    default ``default``: a JSON integer is also a float, true/false is no
+    number, null fits a null default and a list a list default
+    (``n_values``) item by item."""
+    if isinstance(value, list) and isinstance(default, list):
+        return all(_fits(v, type(default[0]), default[0]) for v in value)
+    if value is None or isinstance(value, bool):
+        return value is None and default is None
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
-    """Defaults, overlaid by the config file, overlaid by explicit flags."""
+    """Defaults, overlaid by the config file, overlaid by explicit flags.
+    Each config value must fit its option's type (:func:`_fits`)."""
     # '--burn-in' is stored under 'burn_in', as argparse does
-    defaults = {name.lstrip("-").replace("-", "_"): default
-                for name, _, default, _ in OPTIONS[args.command]}
-    merged = dict(defaults)
+    options = {name.lstrip("-").replace("-", "_"): (kind, default)
+               for name, kind, default, _ in OPTIONS[args.command]}
+    merged = {key: default for key, (_, default) in options.items()}
     if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError(f"config {args.config}: expected a JSON object")
-        unknown = sorted(set(loaded) - set(defaults))
+        unknown = sorted(set(loaded) - set(options))
         if unknown:
             raise ValueError(
                 f"config {args.config}: unknown option(s) {unknown} "
                 f"for '{args.command}'"
             )
+        for key, value in loaded.items():
+            kind, default = options[key]
+            if not _fits(value, kind, default):
+                want = kind.__name__
+                if isinstance(default, list):
+                    want += f" or a list of {type(default[0]).__name__}"
+                raise ValueError(
+                    f"config {args.config}: option '{key}' must be {want}, "
+                    f"got {json.dumps(value)}"
+                )
         merged.update(loaded)
-    for key in defaults:
+    for key in options:
         value = getattr(args, key)
         if value is not None:
             merged[key] = value
@@ -236,9 +259,9 @@ def cmd_estimate(options: dict) -> int:
         payload["estimates"] = result.estimates_dict()
         payload["diagnostics"] = {
             "correlation_length": corr_length,
-            "root_bracket": list(result.root_bracket),
-            "sign_change_count": result.sign_change_count,
-            "g_prime_sign_constant": result.g_prime_sign_constant,
+            "root_bracket": list(result.root.bracket),
+            "sign_change_count": result.root.sign_change_count,
+            "g_prime_sign_constant": result.root.g_prime_sign_constant,
             "moments": {
                 "mu1": result.moments.mu1, "mu2": result.moments.mu2,
                 "mu3": result.moments.mu3, "mu4": result.moments.mu4,

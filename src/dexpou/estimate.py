@@ -51,7 +51,6 @@ __all__ = [
     "empirical_joint_char_fn",
     "estimate_theta",
     "compute_f",
-    "g_of_p",
     "g_values",
     "scan_g",
     "solve_p",
@@ -131,7 +130,7 @@ class RootScan:
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Point estimates plus the uniqueness diagnostics of the root search."""
+    """Point estimates plus ``root``, the search that found ``p_hat``."""
 
     theta_hat: float
     p_hat: float
@@ -139,12 +138,9 @@ class EstimationResult:
     xi_hat: float
     eta_hat: float
     phi_hat: float
-    root_bracket: tuple
-    sign_change_count: int
-    g_prime_sign_constant: bool
+    root: RootScan
     moments: Optional[EmpiricalMoments] = None
     f: Optional[FVector] = None
-    g_curve: Optional[np.ndarray] = None  # sampled (p, g(p)) table
 
     def estimates_dict(self) -> dict:
         return {
@@ -290,11 +286,6 @@ def g_values(p, f: FVector) -> np.ndarray:
     return _g(p, f.f1, d, f.f3, np.sqrt)
 
 
-def g_of_p(p: float, f: FVector) -> float:
-    """The scalar root function whose zero in (0, 1) is the p estimate."""
-    return float(g_values(p, f))
-
-
 def _brent(fun, a: float, b: float, xtol: float = ROOT_WIDTH_TOL,
            rtol: float = ROOT_RTOL, maxiter: int = ROOT_MAXITER) -> float:
     """Root of ``fun`` on the sign-changing bracket ``[a, b]`` by Brent's
@@ -434,36 +425,19 @@ def recover_rho_xi(p_hat: float, f: FVector) -> tuple:
 
 
 def estimate_from_moments(moments: EmpiricalMoments,
-                          grid_size: int = DEFAULT_GRID_SIZE,
-                          keep_g_curve: bool = False) -> EstimationResult:
+                          grid_size: int = DEFAULT_GRID_SIZE) -> EstimationResult:
     """Run the calibration pipeline on a moment vector (empirical or exact)."""
     theta_hat = estimate_theta(moments)
     f = compute_f(moments, theta_hat)
     scan = solve_p(f, grid_size=grid_size)
     rho_hat, xi_hat = recover_rho_xi(scan.p_hat, f)
-    curve = None
-    if keep_g_curve:
-        g_scan = scan_g(f, grid_size)
-        curve = np.column_stack([g_scan.grid, g_scan.g])
-    return EstimationResult(
-        theta_hat=theta_hat,
-        p_hat=scan.p_hat,
-        rho_hat=rho_hat,
-        xi_hat=xi_hat,
-        eta_hat=1.0 / rho_hat,
-        phi_hat=1.0 / xi_hat,
-        root_bracket=scan.bracket,
-        sign_change_count=scan.sign_change_count,
-        g_prime_sign_constant=scan.g_prime_sign_constant,
-        moments=moments,
-        f=f,
-        g_curve=curve,
-    )
+    return EstimationResult(theta_hat=theta_hat, p_hat=scan.p_hat,
+                            rho_hat=rho_hat, xi_hat=xi_hat,
+                            eta_hat=1.0 / rho_hat, phi_hat=1.0 / xi_hat,
+                            root=scan, moments=moments, f=f)
 
 
-def estimate_all(path: SamplePath, grid_size: int = DEFAULT_GRID_SIZE,
-                 keep_g_curve: bool = False) -> EstimationResult:
+def estimate_all(path: SamplePath,
+                 grid_size: int = DEFAULT_GRID_SIZE) -> EstimationResult:
     """Full pipeline from a sample path to parameter estimates."""
-    return estimate_from_moments(empirical_moments(path),
-                                 grid_size=grid_size,
-                                 keep_g_curve=keep_g_curve)
+    return estimate_from_moments(empirical_moments(path), grid_size=grid_size)

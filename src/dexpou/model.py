@@ -93,16 +93,6 @@ class ModelParams:
                 f"sigma={self.sigma}"
             )
 
-    def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "eta": self.eta,
-            "phi": self.phi,
-            "p": self.p,
-            "lam": self.lam,
-            "sigma": self.sigma,
-        }
-
 
 @dataclass(frozen=True)
 class StationaryMoments:

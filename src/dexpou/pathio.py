@@ -29,6 +29,7 @@ import csv
 import functools
 import json
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -299,7 +300,7 @@ def write_metadata(path: SamplePath, csv_path,
         "burn_in": path.burn_in,
     }
     if params is not None:
-        meta["params"] = params.as_dict()
+        meta["params"] = asdict(params)
     if extra:
         meta.update(extra)
     out = metadata_path(csv_path)

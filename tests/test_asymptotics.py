@@ -25,6 +25,7 @@ from dexpou import (
     sigma_matrix,
     simulate_path,
 )
+from dexpou.asymptotics import _next_fast_len
 from dexpou.errors import SingularJacobian, TooShort
 
 from conftest import H_REF
@@ -101,6 +102,14 @@ class TestLongRunCov:
                                             seed=19))
         assert np.allclose(long_run_cov(s, L), bartlett_direct(s, L_direct),
                            rtol=1e-10, atol=1e-14)
+
+    def test_next_fast_len_matches_scipy(self):
+        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+        rng = np.random.default_rng(5)
+        sizes = list(range(1, 5001)) + rng.integers(5001, 2_000_001,
+                                                    3000).tolist()
+        assert [_next_fast_len(n) for n in sizes] == \
+            [next_fast_len(n, real=True) for n in sizes]
 
     def test_peak_memory_small_multiple_of_series(self, ref_params):
         # memory must stay a small multiple of the input, not grow with k**2
@@ -243,10 +252,11 @@ class TestSigmaMatrix:
 
 
 def _fake_result(**kw):
-    from dexpou.estimate import EstimationResult
+    from dexpou.estimate import EstimationResult, RootScan
+    root = RootScan(p_hat=0.6, bracket=(0.59, 0.61), sign_change_count=1,
+                    g_prime_sign_constant=True)
     base = dict(theta_hat=2.0, p_hat=0.6, rho_hat=1 / 1.2, xi_hat=0.625,
-                eta_hat=1.2, phi_hat=1.6, root_bracket=(0.59, 0.61),
-                sign_change_count=1, g_prime_sign_constant=True)
+                eta_hat=1.2, phi_hat=1.6, root=root)
     base.update(kw)
     return EstimationResult(**base)
 

@@ -21,7 +21,6 @@ from dexpou import (
     estimate_all,
     estimate_from_moments,
     estimate_theta,
-    g_of_p,
     joint_char_fn,
     make_rng,
     recover_rho_xi,
@@ -190,24 +189,24 @@ class TestComputeF:
 class TestGFunction:
     def test_true_p_is_root(self, ref_params):
         f = exact_f(ref_params)
-        assert abs(g_of_p(0.6, f)) < 1e-12
+        assert abs(float(g_values(0.6, f))) < 1e-12
 
     def test_symmetric_root_at_half(self):
         f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
-        assert g_of_p(0.5, f) == 0.0
+        assert float(g_values(0.5, f)) == 0.0
 
     def test_finite_near_endpoints(self, ref_params):
         f = exact_f(ref_params)
         for p in (GRID_EPS, 1.0 - GRID_EPS):
-            assert math.isfinite(g_of_p(p, f))
+            assert math.isfinite(float(g_values(p, f)))
 
     def test_domain_errors(self, ref_params):
         f = exact_f(ref_params)
         with pytest.raises(ValueError):
-            g_of_p(0.0, f)
+            g_values(0.0, f)
         bad = FVector(f1=2.0, f2=1.0, f3=0.0, theta_hat=1.0)
         with pytest.raises(ValueError):
-            g_of_p(0.5, bad)
+            g_values(0.5, bad)
 
 
 def no_root_f(params: ModelParams) -> FVector:
@@ -228,8 +227,14 @@ class TestSolveP:
         scan = solve_p(f)
         assert scan.sign_change_count == 1
         assert scan.p_hat == pytest.approx(0.6, abs=1e-8)
-        assert abs(g_of_p(scan.p_hat, f)) <= ROOT_G_TOL
+        assert abs(float(g_values(scan.p_hat, f))) <= ROOT_G_TOL
         assert scan.bracket[0] < scan.p_hat < scan.bracket[1]
+        # the sampled curve starts at GRID_EPS and crosses zero at p_hat
+        g_scan = scan_g(f)
+        assert g_scan.grid[0] == GRID_EPS
+        assert g_scan.brackets == (scan.bracket,)
+        nearest = np.argmin(np.abs(g_scan.grid - scan.p_hat))
+        assert abs(g_scan.g[nearest]) < 1e-4
 
     def test_symmetric_root(self):
         f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
@@ -315,7 +320,7 @@ class TestGKernel:
             g = scalar_g(f)
             scalar = np.array([g(p) for p in grid.tolist()])
             assert np.array_equal(scalar, g_values(grid, f))
-            assert [g_of_p(p, f) for p in grid[::100].tolist()] == \
+            assert [float(g_values(p, f)) for p in grid[::100].tolist()] == \
                 scalar[::100].tolist()
 
     def test_grid_values_match_power_formula(self, fs):
@@ -430,7 +435,7 @@ class TestPipeline:
         assert 0.8 < r.eta_hat < 1.8
         assert 1.0 < r.phi_hat < 2.6
         assert 1.5 < r.theta_hat < 2.5
-        assert r.sign_change_count == 1
+        assert r.root.sign_change_count == 1
 
     def test_stochastic_consistency(self, ref_params):
         # median absolute error over 20 seeds shrinks through decade jumps
@@ -464,12 +469,3 @@ class TestPipeline:
             except EstimationError:
                 outcomes.append(None)
         assert any(v is not None for v in outcomes)
-
-    def test_g_curve_attachment(self, ref_exact_empirical):
-        r = estimate_from_moments(ref_exact_empirical, keep_g_curve=True)
-        assert r.g_curve is not None and r.g_curve.shape[1] == 2
-        p_col, g_col = r.g_curve[:, 0], r.g_curve[:, 1]
-        assert p_col[0] == pytest.approx(GRID_EPS)
-        # the curve crosses zero near the estimate
-        idx = np.argmin(np.abs(p_col - r.p_hat))
-        assert abs(g_col[idx]) < 1e-4
