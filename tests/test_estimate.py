@@ -229,12 +229,6 @@ class TestSolveP:
         assert scan.p_hat == pytest.approx(0.6, abs=1e-8)
         assert abs(float(g_values(scan.p_hat, f))) <= ROOT_G_TOL
         assert scan.bracket[0] < scan.p_hat < scan.bracket[1]
-        # the sampled curve starts at GRID_EPS and crosses zero at p_hat
-        g_scan = scan_g(f)
-        assert g_scan.grid[0] == GRID_EPS
-        assert g_scan.brackets == (scan.bracket,)
-        nearest = np.argmin(np.abs(g_scan.grid - scan.p_hat))
-        assert abs(g_scan.g[nearest]) < 1e-4
 
     def test_symmetric_root(self):
         f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
@@ -469,3 +463,14 @@ class TestPipeline:
             except EstimationError:
                 outcomes.append(None)
         assert any(v is not None for v in outcomes)
+
+    def test_g_curve_attachment(self, ref_exact_empirical):
+        # the curve `gcurve` writes, scanned from the fit's f, starts at
+        # GRID_EPS and crosses zero once, in the fit's bracket, at p_hat
+        r = estimate_from_moments(ref_exact_empirical)
+        curve = scan_g(r.f)
+        assert curve.grid.shape == curve.g.shape
+        assert curve.grid[0] == pytest.approx(GRID_EPS)
+        assert curve.brackets == (r.root.bracket,)
+        idx = np.argmin(np.abs(curve.grid - r.p_hat))
+        assert abs(curve.g[idx]) < 1e-4
