@@ -3,7 +3,9 @@ moment calibration, and delta-method uncertainty."""
 
 from .errors import (
     DiscriminantNonpositive,
+    DiscriminantOverflow,
     EstimationError,
+    MomentOverflow,
     MultipleRoots,
     NonPositiveAutocov,
     NonPositiveRate,

@@ -28,6 +28,13 @@ class NonPositiveAutocov(EstimationError):
     stage = "theta"
 
 
+class MomentOverflow(EstimationError):
+    """mu1^2 exceeds float64's range: the path's values are too large for
+    the moment equations."""
+
+    stage = "theta"
+
+
 class NonPositiveTheta(EstimationError):
     """Variance ratio <= 1, i.e. theta estimate <= 0: sampling noise
     dominates mean reversion. Reported, never clamped."""
@@ -37,6 +44,13 @@ class NonPositiveTheta(EstimationError):
 
 class DiscriminantNonpositive(EstimationError):
     """f2 - f1^2 <= 0: the root equation's discriminant is not positive."""
+
+    stage = "f"
+
+
+class DiscriminantOverflow(EstimationError):
+    """f1^2 = (theta mu1)^2 exceeds float64's range: theta (about 1/h) or
+    the path's values are too large."""
 
     stage = "f"
 

@@ -29,6 +29,8 @@ import numpy as np
 
 from .errors import (
     DiscriminantNonpositive,
+    DiscriminantOverflow,
+    MomentOverflow,
     MultipleRoots,
     NonPositiveAutocov,
     NonPositiveRate,
@@ -104,7 +106,11 @@ class FVector:
     @property
     def discriminant(self) -> float:
         """f2 - f1^2; must be > 0 for the root problem to be solvable."""
-        return self.f2 - self.f1**2
+        try:
+            return self.f2 - self.f1**2
+        except OverflowError:  # a float's ** raises where numpy gives inf
+            raise DiscriminantOverflow(
+                f"f1^2 overflows float64: f1 = {self.f1:.6e}") from None
 
 
 @dataclass(frozen=True)
@@ -228,10 +234,15 @@ def estimate_theta(moments: EmpiricalMoments) -> float:
     """theta = ln((mu2 - mu1^2) / (mu4 - mu1^2)) / h.
 
     Raises the typed error naming the failed inequality when the variance,
-    the lag autocovariance, or the resulting theta is not positive.
+    the lag autocovariance, or the resulting theta is not positive, and
+    :class:`MomentOverflow` when mu1^2 exceeds float64's range.
     """
-    var = moments.mu2 - moments.mu1**2
-    autocov = moments.mu4 - moments.mu1**2
+    try:
+        var = moments.mu2 - moments.mu1**2
+        autocov = moments.mu4 - moments.mu1**2
+    except OverflowError:  # a float's ** raises where numpy gives inf
+        raise MomentOverflow(
+            f"mu1^2 overflows float64: mu1 = {moments.mu1:.6e}") from None
     # written as "not x > y" so that NaN moments fail the first check
     if not var > 0:
         raise NonPositiveVariance(f"mu2 - mu1^2 = {var:.6e} <= 0")

@@ -15,12 +15,19 @@ burn-in, so a simulation run is fully reproducible from its outputs.
 
 Ingestion accepts any two-column ``t,x`` CSV with constant spacing; the
 spacing is inferred from the first two rows and enforced afterwards with
-tolerance ``1e-9 * h``.  The file is parsed by one ``numpy.loadtxt`` call;
-only when that parse fails, or its row count differs from the file's
-data-line count, does a row-by-row parser read the file again, so that
-ragged rows, blank lines and non-numeric fields are rejected naming the
-first offending data row.  Non-finite values and non-uniform spacing are
-rejected the same way.
+tolerance ``1e-9 * h``.  The file is read in blocks of whole lines, and a
+numpy kernel, the writer's inverse (:mod:`dexpou._csvparse`, loaded on the
+first read), parses each block: a field of the form
+``[-]digits[.digits][(e|E)[+-]digits]`` of at most 24 bytes is read from
+its bytes by SWAR and scaled in double-double arithmetic against the
+writer's power table, which gives ``float(field)``'s bits unless the value
+is within 1e-6 ulp of a rounding midpoint or outside [1e-280, 1e280]; such
+fields and every other form go to ``float`` one by one.  Only a file that
+is not plain ``t,x`` lines (a line without exactly one comma, a quote, a
+lone ``\\r``) or has a field ``float`` rejects is read again by a
+row-by-row parser, so that ragged rows, blank lines, non-numeric fields and
+bytes that are not UTF-8 are rejected naming the first offending data row.
+Non-finite values and non-uniform spacing are rejected the same way.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import warnings
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -62,7 +68,23 @@ def metadata_path(csv_path) -> Path:
 
 def write_path_csv(path: SamplePath, csv_path) -> Path:
     """Write the ``t,x`` CSV; returns the written location."""
-    return _write_float_csv(csv_path, ("t", "x"), (path.times, path.values))
+    times = _Times(path.h, len(path.values))
+    return _write_float_csv(csv_path, ("t", "x"), (times, path.values))
+
+
+class _Times:
+    """:attr:`SamplePath.times` a slice at a time: ``h * arange`` of the
+    slice's indices gives the same bits without the path-sized arrays."""
+
+    def __init__(self, h: float, n: int):
+        self.h, self.n = h, n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.n)
+        return self.h * np.arange(start + 1, stop + 1)
 
 
 # rows per formatting block: large enough to amortise numpy's per-call
@@ -102,6 +124,7 @@ def _write_float_csv(csv_path, header, columns) -> Path:
 _SCALED_MAX = 1e280
 _TIE_MARGIN = 1e-6
 _E_LOW, _E_HIGH = -282, 282  # e10 of any value in range, adjusted by 1
+_K_LOW = -298  # the reader's D 10^k, D < 10^18, reaches 1e-280 from here
 _CELL = 32
 _SCI = 21  # notation class of scientific notation; c = e10 + 4 when fixed
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp splitting of a double
@@ -116,11 +139,13 @@ def _words(bits: int, count: int) -> list:
 
 
 class _Tables:
-    """Read-only lookup tables of the %.17g kernel (about 0.1 MB)."""
+    """Read-only lookup tables of the %.17g kernel (about 0.1 MB); the
+    parse kernel of :mod:`dexpou._csvparse` shares the powers of 10."""
 
     def __init__(self):
-        # hi + lo = 10^k for every k = 16 - e10 in range
-        powers = range(16 - _E_HIGH, 17 - _E_LOW)
+        # hi + lo = 10^k for every k = 16 - e10 in range, and every k the
+        # parse kernel takes
+        powers = range(_K_LOW, 17 - _E_LOW)
         self.k0 = powers.start
         hi = np.empty(len(powers))
         lo = np.empty(len(powers))
@@ -314,91 +339,78 @@ def read_path_csv(csv_path) -> SamplePath:
     """Parse a two-column ``t,x`` CSV into a :class:`SamplePath`.
 
     Raises ``ValueError`` naming the first offending data row on ragged
-    rows, blank lines, non-numeric or non-finite fields, or non-uniform
-    spacing.
+    rows, blank lines, non-numeric or non-finite fields, bytes that are not
+    UTF-8, or non-uniform spacing.
     """
+    from ._csvparse import parse_csv  # compiled only where a CSV is read
+
     src = Path(csv_path)
-    table = _parse_table(src)
-    if table is None:
-        table = _parse_rows(src)
-    t, x = table[:, 0], table[:, 1]
+    columns = parse_csv(src)
+    if columns is None:
+        columns = _parse_rows(src)
+    t, x = columns
     if len(x) < 2:
         raise ValueError(f"{src}: need at least 2 data rows, got {len(x)}")
     _require_finite(t, "t", src)
     h = t[1] - t[0]
     if not h > 0:
         raise ValueError(f"{src}: row 2: non-increasing time column")
-    gaps = np.diff(t)
-    deviation = gaps - h
+    deviation = np.diff(t)
+    deviation -= h
     np.abs(deviation, out=deviation)
     bad = np.flatnonzero(deviation > SPACING_RTOL * h)
     if bad.size:
         # data row index of the first row breaking the spacing (1-based)
         row = int(bad[0]) + 2
+        gap = t[row - 1] - t[row - 2]
         raise ValueError(
-            f"{src}: row {row}: spacing {float(gaps[bad[0]])!r} differs from "
+            f"{src}: row {row}: spacing {float(gap)!r} differs from "
             f"inferred h = {float(h)!r}"
         )
-    del gaps, deviation  # freed before the contiguous copy of x
+    del deviation  # freed before any contiguous copy of x
     _require_finite(x, "x", src)
     return SamplePath(h=float(h), values=np.ascontiguousarray(x))
 
 
-def _parse_table(src: Path) -> Optional[np.ndarray]:
-    """The ``(rows, 2)`` data table from one numpy parse, or None.
-
-    None means the row-by-row parser must decide: the parse raised, gave
-    another shape, or silently skipped lines (``loadtxt`` drops blank
-    ones, which are an error here).
-    """
-    lines = _count_lines(src)
-    with src.open(newline="") as fh:
-        header = next(csv.reader(fh), None)
-        if header is not None and _is_numeric_row(header):
-            fh.seek(0)
-        else:
-            lines -= 1
-        if lines < 2:
-            return None
-        try:
-            with warnings.catch_warnings():
-                # input with only blank lines left: the shape check below
-                # sends it to the row parser, which names the row
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", comments=None,
-                                   quotechar='"', ndmin=2)
-        except ValueError:
-            return None
-    return table if table.shape == (lines, 2) else None
-
-
-def _count_lines(src: Path) -> int:
-    """Newline-terminated lines, plus a final unterminated one."""
-    count, last = 0, b"\n"
-    with src.open("rb") as fh:
-        while chunk := fh.read(1 << 20):
-            count += chunk.count(b"\n")
-            last = chunk[-1:]
-    return count + (last != b"\n")
-
-
-def _parse_rows(src: Path) -> np.ndarray:
-    """Row-by-row parse that names the first offending data row."""
+def _parse_rows(src: Path) -> tuple:
+    """Row-by-row parse of the ``t`` and ``x`` columns that names the
+    first offending data row."""
     rows = []
-    with src.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{src}: empty file")
-        # row indices below are 1-based data rows (the header is not counted)
-        start = 1
-        if _is_numeric_row(header):
-            rows.append(_parse_row(header, 1, src))
-            start = 2
-        for i, row in enumerate(reader, start=start):
-            rows.append(_parse_row(row, i, src))
-    return np.array(rows, dtype=float).reshape(-1, 2)
+    try:
+        with src.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ValueError(f"{src}: empty file")
+            # row indices below are 1-based data rows (the header is not
+            # counted)
+            start = 1
+            if _is_numeric_row(header):
+                rows.append(_parse_row(header, 1, src))
+                start = 2
+            for i, row in enumerate(reader, start=start):
+                rows.append(_parse_row(row, i, src))
+    except UnicodeDecodeError:
+        raise _undecodable(src) from None
+    table = np.array(rows, dtype=float).reshape(-1, 2)
+    return table[:, 0], table[:, 1]
+
+
+def _undecodable(src: Path) -> ValueError:
+    """The error naming the row of the first byte that is not UTF-8."""
+    numeric = False  # whether the first line is a data row
+    with src.open("rb") as fh:
+        for line_no, line in enumerate(fh):
+            try:
+                text = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                row = f"row {line_no + numeric}" if line_no else "header row"
+                return ValueError(
+                    f"{src}: {row}: byte 0x{line[exc.start]:02x} at offset "
+                    f"{exc.start} of the line is not UTF-8")
+            if line_no == 0:
+                numeric = _is_numeric_row(next(csv.reader([text]), []))
+    return ValueError(f"{src}: not UTF-8")
 
 
 def _require_finite(column: np.ndarray, name: str, src: Path) -> None:

@@ -154,6 +154,23 @@ class TestEstimateCommand:
             assert payload["error"]["name"] == "NonPositiveVariance"
             assert payload["error"]["stage"] == "theta"
 
+    @pytest.mark.parametrize("scale, h, name, stage", [
+        (1e155, 0.02, "MomentOverflow", "theta"),
+        (1.0, 1e-160, "DiscriminantOverflow", "f"),
+    ], ids=["large-values", "tiny-h"])
+    def test_overflow_exits_3_with_error_json(self, tmp_path, scale, h,
+                                              name, stage):
+        path = dexpou.simulate_path(dexpou.ModelParams(2.0, 1.2, 1.6, 0.6),
+                                    0.0, 0.02, 2000, seed=1)
+        src = tmp_path / "p.csv"
+        dexpou.write_path_csv(
+            dexpou.SamplePath(h=h, values=path.values * scale), src)
+        res = tmp_path / "r.json"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert run(["estimate", src, "--out", res]) == 3
+        error = json.loads(res.read_text())["error"]
+        assert (error["name"], error["stage"]) == (name, stage)
+
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["estimate", tmp_path / "nope.csv"]) == 2
 

@@ -29,7 +29,9 @@ from dexpou import (
 )
 from dexpou.errors import (
     DiscriminantNonpositive,
+    DiscriminantOverflow,
     EstimationError,
+    MomentOverflow,
     NonPositiveAutocov,
     NonPositiveTheta,
     NonPositiveVariance,
@@ -463,6 +465,19 @@ class TestPipeline:
             except EstimationError:
                 outcomes.append(None)
         assert any(v is not None for v in outcomes)
+
+    @pytest.mark.parametrize("scale, h, error", [
+        (1e155, H_REF, MomentOverflow),       # mu1^2 overflows
+        (1.0, 1e-160, DiscriminantOverflow),  # f1^2 = (theta mu1)^2 does
+    ], ids=["large-values", "tiny-h"])
+    def test_overflow_fails_typed(self, ref_params, scale, h, error):
+        # a float's ** raises OverflowError where numpy would give inf
+        x = simulate_path(ref_params, 0.0, H_REF, 2000, seed=1).values
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(error) as exc:
+                estimate_all(SamplePath(h=h, values=x * scale))
+        assert exc.value.stage == error.stage
+        assert error.stage == ("theta" if error is MomentOverflow else "f")
 
     def test_g_curve_attachment(self, ref_exact_empirical):
         # the curve `gcurve` writes, scanned from the fit's f, starts at

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ _ROWS = "0.02,1\n0.04,2\n0.06,3\n"
     ("t,x\n0.02,\n0.04,2\n0.06,3\n", "row 1: non-numeric field"),
     ("t,x\n0x1p0,1\n0.04,2\n0.06,3\n", "row 1: non-numeric field"),
     ("t,x\n0.02,Infinity\n0.04,2\n0.06,3\n", "row 1: non-finite x"),
+    ("t,x\n0.02,1\n0.04,1e400\n0.06,3\n", "row 2: non-finite x = inf"),
+    (b"t,x\xe9\n" + _ROWS.encode(), "header row: byte 0xe9 .* not UTF-8"),
+    (b"t,x\n0.02,1\n0.04,2\xe9\n0.06,3\n", "row 2: byte 0xe9 .* not UTF-8"),
+    ("t,x\n0.02,1\n0.04,1.2.5\n0.06,3\n", "row 2: non-numeric field"),
+    ("t,x\n0.02,1\n0.04,2-5\n0.06,3\n", "row 2: non-numeric field"),
+    ("t,x\n0.02,1\n0.04,1e5e3\n0.06,3\n", "row 2: non-numeric field"),
+    ("t,x\n0.02,1\n0.04,--2\n0.06,3\n", "row 2: non-numeric field"),
+    ("t,x\n0.02,1\n0.04,2e\n0.06,3\n", "row 2: non-numeric field"),
+    ("t,x\n0.02,1\n0.04,.\n0.06,3\n", "row 2: non-numeric field"),
     # accepted (a list is the expected x)
     ('"t","x"\n"0.02","1"\n"0.04","2"\n"0.06","3"\n', [1.0, 2.0, 3.0]),
     ("t,x\n 0.02 , 1 \n 0.04 , 2 \n 0.06 , 3 \n", [1.0, 2.0, 3.0]),
@@ -133,12 +143,15 @@ _ROWS = "0.02,1\n0.04,2\n0.06,3\n"
     (_ROWS, [1.0, 2.0, 3.0]),
     ("t,x\n0.02,1_0\n0.04,2\n0.06,3\n", [10.0, 2.0, 3.0]),
 ], ids=["trailing-blank", "blank-mid", "hash-line", "trailing-comma",
-        "empty-field", "hex-float", "infinity", "quoted", "spaces", "crlf",
+        "empty-field", "hex-float", "infinity", "overflow",
+        "undecodable-header", "undecodable-row", "two-points", "inner-minus",
+        "two-exponents", "two-minus", "no-exponent-digits", "point-alone",
+        "quoted", "spaces", "crlf",
         "no-final-newline", "one-column-header", "bom", "headerless",
         "underscore"])
 def test_reader_outcomes(tmp_path, text, outcome):
     src = tmp_path / "in.csv"
-    src.write_bytes(text.encode("utf-8"))
+    src.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     if isinstance(outcome, str):
         with pytest.raises(ValueError, match=outcome):
             read_path_csv(src)
@@ -146,6 +159,89 @@ def test_reader_outcomes(tmp_path, text, outcome):
         path = read_path_csv(src)
         assert path.h == 0.02
         assert path.values.tolist() == outcome
+
+
+def _x_column_csv(tokens, final_newline=True) -> bytes:
+    """A path CSV holding ``tokens`` as its x column, t = 0.5 j."""
+    text = "t,x\n" + "".join(f"{0.5 * j!r},{token}\n"
+                             for j, token in enumerate(tokens, 1))
+    return (text if final_newline else text[:-1]).encode()
+
+
+def _assert_read_as_float(tmp_path, tokens, final_newline=True):
+    src = tmp_path / "tokens.csv"
+    src.write_bytes(_x_column_csv(tokens, final_newline))
+    got = read_path_csv(src)
+    assert got.h == 0.5
+    expected = np.array([float(token) for token in tokens])
+    for token, a, b in zip(tokens, got.values, expected):
+        assert a.tobytes() == b.tobytes(), (token, a, b)
+
+
+def _parser_tokens():
+    """Decimal strings on both sides of every case the parse kernel tells
+    apart, each to be read exactly as ``float`` reads it."""
+    powers = 10.0 ** np.arange(-323, 309)
+    powers = np.concatenate([powers, np.nextafter(powers, 0),
+                             np.nextafter(powers, np.inf)])
+    # exact midpoints between neighbouring doubles with short decimals (at
+    # 2^53 + 1, on both sides of powers of two, where the spacing doubles),
+    # in several forms, and as 17 digits with the last one off by -1 and +1
+    ties = []
+    for x in (2.0 ** 52, 2.0 ** 53, 2.0 ** 54, 2.0 ** 55 + 16, 3.0 * 2 ** 53,
+              2.0 ** 50 + 2 ** 10):
+        for low in (np.nextafter(x, 0), x):
+            tie = (Decimal(low) + Decimal(np.nextafter(low, np.inf))) / 2
+            _, digits, exponent = tie.as_tuple()
+            pad = max(17 - len(digits), 0)
+            d = str(int("".join(map(str, digits))) * 10 ** pad)
+            e = exponent - pad
+            ties += [str(tie), f"{d}e{e}", f"{int(d) - 1}e{e}",
+                     f"{int(d) + 1}e{e}", f"0.{d}E+{e + len(d)}",
+                     f"{d[0]}.{d[1:]}e{e + len(d) - 1}"]
+    rng = np.random.default_rng(11)
+    long_digits = ["".join(map(str, rng.integers(0, 10, k)))
+                   for k in range(18, 26) for _ in range(3)]
+    long_digits += [d[:5] + "." + d[5:] for d in long_digits]
+    forms = ["0", "-0", "0.000", "-0.0", "0.0000e7", "-0e-999", "1", "-1",
+             "0.00012345678901234567", "-0.00099999999999999998",
+             "1E5", "1e+5", "1e-5", "1E-05", "-1.5E+300", "12.5e-3", "7.e2",
+             ".5", "-.25e1", "1e0", "1e000", "1e-0",
+             "5e-324", "4.9406564584124654e-324", "2.4703282292062328e-324",
+             "2.2250738585072014e-308", "2.2250738585072011e-308",
+             "1.7976931348623157e+308", "1.7976931348623158e308",
+             "1e-280", "1e280", "9.9999999999999996e-281", "1.0000000000000001e280",
+             "1e-298", "1e-300", "123456789012345678e-298", "9e290", "9e291"]
+    values = [f"{v:.17g}" for v in powers] + [f"{-v:.17g}" for v in powers[::7]]
+    return {"powers-of-10": values, "ties": ties,
+            "long-digits": long_digits, "forms": forms}
+
+
+@pytest.mark.parametrize("name", sorted(_parser_tokens()))
+def test_reader_matches_float_bit_for_bit(tmp_path, name):
+    _assert_read_as_float(tmp_path, _parser_tokens()[name])
+
+
+@pytest.mark.parametrize("final_newline", [True, False])
+def test_reader_rows_across_read_blocks(tmp_path, monkeypatch, final_newline):
+    from dexpou import _csvparse, pathio
+    rng = np.random.default_rng(12)
+    values = rng.standard_normal(30_000) * 10.0 ** rng.integers(-8, 8, 30_000)
+    tokens = [f"{v:.17g}" for v in values]
+    tokens[::5] = [f"{v:.{k}g}" for v, k in zip(values[::5],
+                                                 rng.integers(1, 17, 6000))]
+    text = _x_column_csv(tokens, final_newline)
+    # rows straddle the first read blocks' ends
+    starts = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
+    for k in (1, 2, 3):
+        assert k * _csvparse.READ_BYTES not in starts
+    assert len(text) > 3 * _csvparse.READ_BYTES
+
+    def no_row_parser(src):
+        raise AssertionError("the kernel left the file to _parse_rows")
+
+    monkeypatch.setattr(pathio, "_parse_rows", no_row_parser)
+    _assert_read_as_float(tmp_path, tokens, final_newline)
 
 
 def test_writer_bytes_match_fmt_across_blocks(tmp_path):
