@@ -8,7 +8,7 @@ together with the normality diagnostics of the standardized first-moment
 statistic.  A parameter whose estimated variance is negative gets no
 interval; such a replication counts as not covering and is also counted in
 ``no_interval``.  The intervals use the model's long-run covariance at the
-estimates; ``--bandwidth L`` uses the Bartlett HAC estimate instead.
+estimates.
 """
 
 import argparse
@@ -29,7 +29,7 @@ from dexpou.errors import EstimationError
 from dexpou.model import PARAM_ORDER
 
 
-def run(reps: int, n: int, seed: int, level: float, bandwidth) -> dict:
+def run(reps: int, n: int, seed: int, level: float) -> dict:
     params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
     truth = analytic_moments(params, 0.02)
     truth_params = {name: getattr(params, name) for name in PARAM_ORDER}
@@ -42,7 +42,7 @@ def run(reps: int, n: int, seed: int, level: float, bandwidth) -> dict:
                              replication=rep)
         try:
             result = estimate_all(path)
-            cov = covariance_estimate(path, result, bandwidth=bandwidth)
+            cov = covariance_estimate(path, result)
             ci = confidence_intervals(result, cov, level=level)
         except EstimationError:
             failed += 1
@@ -78,10 +78,8 @@ def main() -> int:
     ap.add_argument("--n", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=777)
     ap.add_argument("--level", type=float, default=0.95)
-    ap.add_argument("--bandwidth", type=int, default=None,
-                    help="HAC bandwidth (default: the model's A)")
     args = ap.parse_args()
-    summary = run(args.reps, args.n, args.seed, args.level, args.bandwidth)
+    summary = run(args.reps, args.n, args.seed, args.level)
     print(json.dumps(summary, indent=2))
     return 0
 

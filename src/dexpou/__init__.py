@@ -13,7 +13,6 @@ from .errors import (
     NonPositiveVariance,
     NoRoot,
     SingularJacobian,
-    TooShort,
 )
 from .model import (
     ModelParams,
@@ -49,17 +48,16 @@ from .estimate import (
     estimate_all,
     estimate_from_moments,
     estimate_theta,
-    observable_series,
     recover_rho_xi,
     solve_p,
 )
 from .asymptotics import (
     ConfidenceIntervals,
     CovarianceEstimate,
-    auto_bandwidth,
     confidence_intervals,
     covariance_estimate,
     long_run_cov,
+    observable_series,
     sigma_matrix,
 )
 from .pathio import read_path_csv, write_metadata, write_path_csv

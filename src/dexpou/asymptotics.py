@@ -2,22 +2,11 @@
 
 The moment vector obeys a central limit theorem whose 4x4 limit covariance A
 is the long-run covariance of the observable series (x, x^2, x^3, x y) over
-consecutive observation pairs.  By default A is the model's own long-run
-covariance at the estimates, :func:`dexpou.model.model_long_run_cov`: a
-closed form in (theta, rho, xi, p, h) that costs O(1) and reads no path.
-
-An explicit bandwidth L selects the model-free cross-check, a Bartlett HAC
-estimate from the path: lag-0 covariance plus tapered sums of the lagged
-cross-covariances, ``C(0) + sum_k w_k (C(k) + C(k)^T)`` with Bartlett
-weights ``w_k = 1 - k/(L+1)``.  The Bartlett lag window is the Fejer
-spectral window, so the weighted lag sum is taken in the frequency domain
-without forming any lagged covariance: A is the cross-periodogram of the
-zero-padded series weighted by the Fejer kernel, which has a closed form.
-Scaling each spectrum by the square root of the weights makes A one Gram
-product.  This costs one forward ``numpy.fft`` transform per series, taken
-in one buffer zero-padded to a 5-smooth length, and memory of about twice
-the series.  A bandwidth shorter than the correlation length ``1/(theta h)``
-biases this estimate low.
+consecutive observation pairs.  A is the model's own long-run covariance at
+the estimates, :func:`dexpou.model.model_long_run_cov`: a closed form in
+(theta, rho, xi, p, h) that costs O(1) and reads no path.  The Bartlett sum
+:func:`long_run_cov` of :func:`observable_series` is the model-free
+reference that the tests check ``model_long_run_cov`` against.
 
 The covariance of the parameter estimates follows by the delta method:
 ``Sigma = B A B^T`` with ``B = (grad_theta h)^{-1} (grad_mu h~)``, the
@@ -31,12 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional
 
 import numpy as np
 
-from .errors import SingularJacobian, TooShort
-from .estimate import EstimationResult, observable_series
+from .errors import SingularJacobian
+from .estimate import EstimationResult
 from .model import (
     PARAM_ORDER,
     jacobian_h,
@@ -48,34 +36,26 @@ from .simulate import SamplePath
 __all__ = [
     "CovarianceEstimate",
     "ConfidenceIntervals",
-    "auto_bandwidth",
+    "observable_series",
     "long_run_cov",
     "sigma_matrix",
     "covariance_estimate",
     "confidence_intervals",
 ]
 
-MIN_SERIES_LENGTH = 30
 MAX_JACOBIAN_COND = 1e12
 
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
     """Long-run covariance A of the moment averages and delta-method
-    covariance Sigma of (p, rho, xi, theta), plus the HAC bandwidth used
-    (``None`` when A is the model's), the number of averaged terms ``n`` and
-    the condition number of the parameter Jacobian."""
+    covariance Sigma of (p, rho, xi, theta), plus the number of averaged
+    terms ``n`` and the condition number of the parameter Jacobian."""
 
     A: np.ndarray
     Sigma: np.ndarray
-    bandwidth: Optional[int]
     n: int
     jacobian_condition: float = math.nan
-
-    @property
-    def method(self) -> str:
-        """``"model"`` for the closed-form A, ``"hac"`` for the estimate."""
-        return "model" if self.bandwidth is None else "hac"
 
     def min_eigenvalue_ratio(self) -> float:
         """min eigenvalue of Sigma over its trace (PSD check aid)."""
@@ -96,9 +76,23 @@ class ConfidenceIntervals:
     warnings: tuple = ()
 
 
-def auto_bandwidth(m: int) -> int:
-    """Default truncation lag ceil(m**(1/3))."""
-    return math.ceil(m ** (1.0 / 3.0))
+def observable_series(path: SamplePath) -> np.ndarray:
+    """The four aligned series (X_j, X_j^2, X_j^3, X_j X_{j+1}), j = 1..n-1,
+    as an array of shape (4, n-1), for :func:`long_run_cov`.  Their row
+    means are the sample moments of
+    :func:`dexpou.estimate.empirical_moments`, which sums the same products
+    without forming this array."""
+    x = path.values
+    if len(x) < 2:
+        raise ValueError(f"path must have >= 2 observations, got {len(x)}")
+    head = x[:-1]
+    # filled in place: no temporaries beside the (4, n-1) result
+    series = np.empty((4, len(head)))
+    series[0] = head
+    np.square(head, out=series[1])
+    np.multiply(series[1], head, out=series[2])
+    np.multiply(head, x[1:], out=series[3])
+    return series
 
 
 def _next_fast_len(n: int) -> int:
@@ -116,10 +110,11 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndarray:
+def long_run_cov(series: np.ndarray, bandwidth: int) -> np.ndarray:
     """Bartlett-tapered long-run covariance matrix of the given series.
 
-    ``series`` has shape (k, m).  The result is
+    ``series`` has shape (k, m) and ``bandwidth`` is the lag L >= 0, clipped
+    to ``m - 1``.  The result is
     ``C(0) + sum_{l=1..L} w_l (C(l) + C(l)^T)`` with
     ``C(l)[i, j] = (1/m) sum_t X[i, t] X[j, t + l]`` for the centred series,
     symmetrized.  It is computed from the spectral-window identity
@@ -141,9 +136,7 @@ def long_run_cov(series: np.ndarray, bandwidth: Optional[int] = None) -> np.ndar
     """
     X = np.atleast_2d(np.asarray(series, dtype=float))
     k, m = X.shape
-    if m < MIN_SERIES_LENGTH:
-        raise TooShort(f"need >= {MIN_SERIES_LENGTH} points, got {m}")
-    L = auto_bandwidth(m) if bandwidth is None else int(bandwidth)
+    L = int(bandwidth)
     if L < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth!r}")
     L = min(L, m - 1)
@@ -195,24 +188,15 @@ def sigma_matrix(A: np.ndarray, mu, theta: float, rho: float, xi: float,
     return _delta_method(A, mu, theta, rho, xi, p, h)[0]
 
 
-def covariance_estimate(path: SamplePath, result: EstimationResult,
-                        bandwidth: Optional[int] = None) -> CovarianceEstimate:
-    """Assemble A and Sigma for an estimated path.
-
-    With ``bandwidth=None`` A is the model's long-run covariance at the
-    estimates; an explicit bandwidth selects the Bartlett HAC estimate from
-    the path, which needs at least ``MIN_SERIES_LENGTH`` pairs."""
+def covariance_estimate(path: SamplePath,
+                        result: EstimationResult) -> CovarianceEstimate:
+    """Assemble A and Sigma for an estimated path: A is the model's
+    long-run covariance at the estimates."""
     point = (result.theta_hat, result.rho_hat, result.xi_hat, result.p_hat,
              path.h)
-    m = len(path.values) - 1
-    L = None
-    if bandwidth is None:
-        A = model_long_run_cov(*point)
-    else:
-        A = long_run_cov(observable_series(path), int(bandwidth))
-        L = min(int(bandwidth), m - 1)
+    A = model_long_run_cov(*point)
     Sigma, cond = _delta_method(A, result.moments.to_array(), *point)
-    return CovarianceEstimate(A=A, Sigma=Sigma, bandwidth=L, n=m,
+    return CovarianceEstimate(A=A, Sigma=Sigma, n=len(path.values) - 1,
                               jacobian_condition=cond)
 
 

@@ -81,7 +81,6 @@ OPTIONS = {
     "estimate": (
         ("input", str, None, "two-column t,x CSV with constant spacing"),
         ("--level", float, 0.95, None),
-        ("--bandwidth", int, None, None),
         ("--grid", int, 2001, None),
         _out(None),
     ),
@@ -255,10 +254,9 @@ def cmd_estimate(options: dict) -> int:
     payload = {"provenance": _provenance(options)}
     try:
         result = estimate_all(path, grid_size=options["grid"])
-        corr_length = 1.0 / (result.theta_hat * path.h)
         payload["estimates"] = result.estimates_dict()
         payload["diagnostics"] = {
-            "correlation_length": corr_length,
+            "correlation_length": 1.0 / (result.theta_hat * path.h),
             "root_bracket": list(result.root.bracket),
             "sign_change_count": result.root.sign_change_count,
             "g_prime_sign_constant": result.root.g_prime_sign_constant,
@@ -269,11 +267,10 @@ def cmd_estimate(options: dict) -> int:
             },
             "f": {"f1": result.f.f1, "f2": result.f.f2, "f3": result.f.f3},
         }
-        cov = covariance_estimate(path, result, bandwidth=options["bandwidth"])
+        cov = covariance_estimate(path, result)
         payload["diagnostics"]["jacobian_condition"] = cov.jacobian_condition
         payload["covariance"] = {
-            "A": cov.A, "Sigma": cov.Sigma,
-            "bandwidth": cov.bandwidth, "n": cov.n, "method": cov.method,
+            "A": cov.A, "Sigma": cov.Sigma, "n": cov.n,
             "sigma_min_eigenvalue_ratio": cov.min_eigenvalue_ratio(),
         }
         ci = confidence_intervals(result, cov, level=options["level"])
@@ -282,12 +279,6 @@ def cmd_estimate(options: dict) -> int:
             **{name: list(lohi) for name, lohi in sorted(ci.intervals.items())},
         }
         payload["warnings"] = list(ci.warnings)
-        if cov.bandwidth is not None and cov.bandwidth < corr_length:
-            payload["warnings"].append(
-                f"bandwidth {cov.bandwidth} is shorter than the correlation "
-                f"length 1/(theta_hat h) = {corr_length:.1f} observations; "
-                f"the HAC estimate of A is biased low"
-            )
     except EstimationError as exc:
         payload["error"] = {
             "name": type(exc).__name__,

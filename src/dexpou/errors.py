@@ -29,8 +29,10 @@ class NonPositiveAutocov(EstimationError):
 
 
 class MomentOverflow(EstimationError):
-    """mu1^2 exceeds float64's range: the path's values are too large for
-    the moment equations."""
+    """A moment mu1..mu4 is not finite, or mu1^2 exceeds float64's range:
+    the path's values are too large for the moment equations (a sum
+    overflowed to inf, or infinities of both signs gave nan), or the path
+    holds a non-finite value."""
 
     stage = "theta"
 
@@ -94,9 +96,3 @@ class SingularJacobian(EstimationError):
             f"parameter Jacobian condition number {self.condition_number:.3e} "
             "exceeds 1e12"
         )
-
-
-class TooShort(EstimationError):
-    """Series too short for long-run covariance estimation."""
-
-    stage = "long_run_cov"

@@ -47,7 +47,6 @@ __all__ = [
     "RootScan",
     "EstimationResult",
     "GScan",
-    "observable_series",
     "empirical_moments",
     "empirical_char_fn",
     "empirical_joint_char_fn",
@@ -159,31 +158,13 @@ class EstimationResult:
         }
 
 
-def observable_series(path: SamplePath) -> np.ndarray:
-    """The four aligned series (X_j, X_j^2, X_j^3, X_j X_{j+1}), j = 1..n-1,
-    as an array of shape (4, n-1), for the long-run covariance.  Their row
-    means are the sample moments of :func:`empirical_moments`, which sums
-    the same products without forming this array."""
-    x = path.values
-    if len(x) < 2:
-        raise ValueError(f"path must have >= 2 observations, got {len(x)}")
-    head = x[:-1]
-    # filled in place: no temporaries beside the (4, n-1) result
-    series = np.empty((4, len(head)))
-    series[0] = head
-    np.square(head, out=series[1])
-    np.multiply(series[1], head, out=series[2])
-    np.multiply(head, x[1:], out=series[3])
-    return series
-
-
 def empirical_moments(path: SamplePath) -> EmpiricalMoments:
     """Sample moments of the path, all averaged over j = 1..n-1.
 
     The sums of (X_j, X_j^2, X_j^3, X_j X_{j+1}) are taken block by block
-    with the products of :func:`observable_series`, so the series is never
-    formed; a path of at most ``MOMENT_CHUNK + 1`` points gives exactly its
-    row means."""
+    with the products of :func:`dexpou.asymptotics.observable_series`, so
+    the series is never formed; a path of at most ``MOMENT_CHUNK + 1``
+    points gives exactly its row means."""
     x = path.values
     if len(x) < 2:
         raise ValueError(f"path must have >= 2 observations, got {len(x)}")
@@ -233,17 +214,21 @@ def empirical_joint_char_fn(path: SamplePath, u, v):
 def estimate_theta(moments: EmpiricalMoments) -> float:
     """theta = ln((mu2 - mu1^2) / (mu4 - mu1^2)) / h.
 
-    Raises the typed error naming the failed inequality when the variance,
-    the lag autocovariance, or the resulting theta is not positive, and
-    :class:`MomentOverflow` when mu1^2 exceeds float64's range.
+    Raises :class:`MomentOverflow` naming the first of mu1..mu4 that is not
+    finite, or when mu1^2 exceeds float64's range, and the typed error
+    naming the failed inequality when the variance, the lag autocovariance,
+    or the resulting theta is not positive.
     """
+    for name in ("mu1", "mu2", "mu3", "mu4"):
+        value = getattr(moments, name)
+        if not math.isfinite(value):
+            raise MomentOverflow(f"{name} = {value!r} is not finite")
     try:
         var = moments.mu2 - moments.mu1**2
         autocov = moments.mu4 - moments.mu1**2
     except OverflowError:  # a float's ** raises where numpy gives inf
         raise MomentOverflow(
             f"mu1^2 overflows float64: mu1 = {moments.mu1:.6e}") from None
-    # written as "not x > y" so that NaN moments fail the first check
     if not var > 0:
         raise NonPositiveVariance(f"mu2 - mu1^2 = {var:.6e} <= 0")
     if not autocov > 0:
@@ -304,10 +289,10 @@ def _brent(fun, a: float, b: float, xtol: float = ROOT_WIDTH_TOL,
 
     A line-for-line port of the C ``brentq`` behind ``scipy.optimize.brentq``
     (same steps, same step-acceptance test, same stopping rule), so it
-    returns the same bits for the same ``fun``.  An exact zero at an end
-    point is returned as is.  Raises :class:`NoRoot` when ``maxiter``
-    iterations do not shrink the bracket below
-    ``xtol + rtol |x|``.
+    returns the same bits for the same ``fun``, also where C divides by a
+    denominator that underflowed to zero.  An exact zero at an end point is
+    returned as is.  Raises :class:`NoRoot` when ``maxiter`` iterations do
+    not shrink the bracket below ``xtol + rtol |x|``.
     """
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
@@ -341,8 +326,12 @@ def _brent(fun, a: float, b: float, xtol: float = ROOT_WIDTH_TOL,
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = (-fcur * (fblk * dblk - fpre * dpre)
-                        / (dblk * dpre * (fblk - fpre)))
+                denom = dblk * dpre * (fblk - fpre)
+                # where this underflows to 0, C's division gives inf or NaN,
+                # which fails the step test below and bisects; Python would
+                # raise ZeroDivisionError
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
+                        if denom != 0 else math.inf)
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

@@ -11,7 +11,6 @@ from dexpou import (
     ModelParams,
     SamplePath,
     analytic_moments,
-    auto_bandwidth,
     confidence_intervals,
     covariance_estimate,
     empirical_moments,
@@ -26,7 +25,7 @@ from dexpou import (
     simulate_path,
 )
 from dexpou.asymptotics import _next_fast_len
-from dexpou.errors import SingularJacobian, TooShort
+from dexpou.errors import SingularJacobian
 
 from conftest import H_REF
 
@@ -77,10 +76,6 @@ class TestObservableSeries:
 
 
 class TestLongRunCov:
-    def test_too_short(self):
-        with pytest.raises(TooShort):
-            long_run_cov(np.zeros((4, 20)))
-
     def test_constant_series_zero_matrix(self):
         A = long_run_cov(np.ones((4, 100)), bandwidth=5)
         assert np.all(A == 0.0)
@@ -117,15 +112,11 @@ class TestLongRunCov:
         s = observable_series(path)
         tracemalloc.start()
         try:
-            long_run_cov(s)
+            long_run_cov(s, 59)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * s.nbytes
-
-    def test_auto_bandwidth(self):
-        assert auto_bandwidth(10_000) == 22
-        assert auto_bandwidth(27) == 3
 
     def test_white_noise_reduces_to_sample_cov(self, ref_params):
         # joint time-permutation makes the four series i.i.d. in time while
@@ -149,7 +140,7 @@ class TestLongRunCov:
 
     def test_symmetry_and_psd_on_path(self, ref_params):
         path = simulate_path(ref_params, 0.0, H_REF, 20_001, seed=23)
-        A = long_run_cov(observable_series(path))
+        A = long_run_cov(observable_series(path), 28)
         assert np.array_equal(A, A.T)
         eig = np.linalg.eigvalsh(A)
         assert eig[0] >= -1e-8 * np.trace(A)
@@ -158,21 +149,27 @@ class TestLongRunCov:
         # oracle: the variance of sqrt(m) * mean(series 1) across independent
         # replications; the Bartlett estimate (averaged over paths to isolate
         # its bias) must agree within 15%.  The bandwidth is set well above
-        # the ~1/(theta h) = 25-step correlation length; the default
-        # m**(1/3) lag is far too short for this strongly persistent series.
+        # the ~1/(theta h) = 25-step correlation length of this strongly
+        # persistent series.
         reps, hac_reps, n, L = 1500, 300, 10_001, 400
         means = np.empty(reps)
-        hacs = np.empty(hac_reps)
+        hacs = np.empty((hac_reps, 4, 4))
         for r in range(reps):
             path = simulate_path(ref_params, 0.0, H_REF, n, seed=101,
                                  replication=r)
             series = observable_series(path)
             means[r] = series[0].mean()
             if r < hac_reps:
-                hacs[r] = long_run_cov(series, bandwidth=L)[0, 0]
+                hacs[r] = long_run_cov(series, bandwidth=L)
         m = n - 1
         oracle = m * means.var()
-        assert abs(hacs.mean() - oracle) / oracle < 0.15
+        mean_hac = hacs.mean(axis=0)
+        assert abs(mean_hac[0, 0] - oracle) / oracle < 0.15
+        # the model-free check of the model's A: every entry, scaled by
+        # its diagonal, within the Bartlett bias at this bandwidth
+        A = model_long_run_cov(2.0, 1 / 1.2, 1 / 1.6, 0.6, H_REF)
+        scale = np.sqrt(np.outer(np.diag(A), np.diag(A)))
+        assert np.max(np.abs(mean_hac - A) / scale) < 0.15
 
 
 class TestSigmaMatrix:
@@ -220,15 +217,11 @@ class TestSigmaMatrix:
     def test_full_pipeline_sigma_symmetric_psd(self, ref_params):
         path = simulate_path(ref_params, 0.0, H_REF, 10_001, seed=25)
         result = estimate_all(path)
-        model = covariance_estimate(path, result)
-        assert model.bandwidth is None and model.method == "model"
-        hac = covariance_estimate(path, result, bandwidth=auto_bandwidth(10_000))
-        assert hac.bandwidth == auto_bandwidth(hac.n) and hac.method == "hac"
-        for cov in (model, hac):
-            assert np.array_equal(cov.Sigma, cov.Sigma.T)
-            eig = np.linalg.eigvalsh(cov.Sigma)
-            assert eig[0] >= -1e-8 * np.trace(cov.Sigma)
-            assert 1.0 <= cov.jacobian_condition < 1e12
+        cov = covariance_estimate(path, result)
+        assert np.array_equal(cov.Sigma, cov.Sigma.T)
+        eig = np.linalg.eigvalsh(cov.Sigma)
+        assert eig[0] >= -1e-8 * np.trace(cov.Sigma)
+        assert 1.0 <= cov.jacobian_condition < 1e12
 
     def test_default_A_is_the_model_at_the_estimates(self, ref_params):
         path = simulate_path(ref_params, 0.0, H_REF, 3001, seed=26)
@@ -247,8 +240,6 @@ class TestSigmaMatrix:
         path = simulate_path(ref_params, 0.0, H_REF, 30, seed=14)
         result = estimate_all(path)
         assert np.all(np.isfinite(covariance_estimate(path, result).Sigma))
-        with pytest.raises(TooShort):
-            covariance_estimate(path, result, bandwidth=3)
 
 
 def _fake_result(**kw):
@@ -264,8 +255,7 @@ def _fake_result(**kw):
 class TestConfidenceIntervals:
     def test_reference_width(self):
         # Sigma_kk / n = 0.01 at level 0.95: half-width 1.96 * 0.1
-        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4),
-                                 bandwidth=5, n=100)
+        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4), n=100)
         ci = confidence_intervals(_fake_result(), cov, level=0.95)
         lo, hi = ci.intervals["theta"]
         assert lo == pytest.approx(1.804, abs=1e-3)
@@ -273,7 +263,7 @@ class TestConfidenceIntervals:
 
     def test_zero_sigma_degenerate(self):
         cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.zeros((4, 4)),
-                                 bandwidth=5, n=100)
+                                 n=100)
         ci = confidence_intervals(_fake_result(), cov)
         for name in ("p", "rho", "xi", "theta"):
             lo, hi = ci.intervals[name]
@@ -282,7 +272,7 @@ class TestConfidenceIntervals:
     def test_reciprocal_transform(self):
         cov = CovarianceEstimate(A=np.zeros((4, 4)),
                                  Sigma=np.diag([0.0, 0.04, 0.01, 0.0]),
-                                 bandwidth=5, n=400)
+                                 n=400)
         ci = confidence_intervals(_fake_result(), cov, level=0.95)
         rho_lo, rho_hi = ci.intervals["rho"]
         eta_lo, eta_hi = ci.intervals["eta"]
@@ -291,16 +281,14 @@ class TestConfidenceIntervals:
 
     def test_unbounded_upper_when_rate_interval_crosses_zero(self):
         cov = CovarianceEstimate(A=np.zeros((4, 4)),
-                                 Sigma=np.diag([0.0, 400.0, 0.0, 0.0]),
-                                 bandwidth=5, n=100)
+                                 Sigma=np.diag([0.0, 400.0, 0.0, 0.0]), n=100)
         ci = confidence_intervals(_fake_result(), cov, level=0.95)
         assert ci.intervals["rho"][0] < 0
         assert ci.intervals["eta"][1] == math.inf
 
     def test_negative_variance_warns_without_interval(self):
         sigma = np.diag([1.0, 1.0, 1.0, -1.0])
-        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=sigma,
-                                 bandwidth=5, n=100)
+        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=sigma, n=100)
         ci = confidence_intervals(_fake_result(), cov)
         assert "theta" not in ci.intervals
         assert any("theta" in w for w in ci.warnings)
@@ -309,8 +297,7 @@ class TestConfidenceIntervals:
     def test_normal_quantile_matches_ndtri(self):
         # unit variance and n = 1 about theta = 0: the upper end is z itself
         ndtri = pytest.importorskip("scipy.special").ndtri
-        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4),
-                                 bandwidth=None, n=1)
+        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4), n=1)
         result = _fake_result(theta_hat=0.0)
         levels = np.linspace(0.0, 1.0, 20003)[1:-1]
         z = np.array([confidence_intervals(result, cov, level)
@@ -319,7 +306,6 @@ class TestConfidenceIntervals:
         assert np.all(np.abs(z - expect) <= 8 * np.spacing(expect))
 
     def test_bad_level_rejected(self):
-        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4),
-                                 bandwidth=5, n=100)
+        cov = CovarianceEstimate(A=np.zeros((4, 4)), Sigma=np.eye(4), n=100)
         with pytest.raises(ValueError, match="level"):
             confidence_intervals(_fake_result(), cov, level=1.5)

@@ -35,9 +35,8 @@ def test_import_leaves_slow_scipy_modules_unloaded():
 
 
 def test_import_and_default_estimate_load_no_scipy(tmp_path):
-    # estimate needs numpy alone, with or without --bandwidth
-    src, model, hac = (str(tmp_path / name)
-                       for name in ("p.csv", "e.json", "hac.json"))
+    # estimate needs numpy alone
+    src, res = (str(tmp_path / name) for name in ("p.csv", "e.json"))
     assert run(["simulate", "--n", 2000, "--seed", 3, "--out", src]) == 0
     code = (
         "import sys\n"
@@ -46,21 +45,14 @@ def test_import_and_default_estimate_load_no_scipy(tmp_path):
         "    return sorted(m for m in sys.modules\n"
         "                  if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(scipy_modules())\n"
-        f"print(main(['estimate', {src!r}, '--out', {model!r}]))\n"
-        "print(scipy_modules())\n"
-        f"print(main(['estimate', {src!r}, '--bandwidth', '13', "
-        f"'--out', {hac!r}]))\n"
+        f"print(main(['estimate', {src!r}, '--out', {res!r}]))\n"
         "print(scipy_modules())\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(dexpou.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120)
-    assert out.stdout.splitlines() == ["[]", "0", "[]", "0", "[]"]
-    model, hac = (json.loads(Path(name).read_text()) for name in (model, hac))
-    assert model["covariance"]["method"] == "model"
-    assert hac["covariance"]["method"] == "hac"
-    assert hac["covariance"]["bandwidth"] == 13
-    assert hac["estimates"] == model["estimates"]
+    assert out.stdout.splitlines() == ["[]", "0", "[]"]
+    assert "intervals" in json.loads(Path(res).read_text())
 
 
 def test_simulate_and_experiment_load_no_scipy(tmp_path):
@@ -157,7 +149,8 @@ class TestEstimateCommand:
     @pytest.mark.parametrize("scale, h, name, stage", [
         (1e155, 0.02, "MomentOverflow", "theta"),
         (1.0, 1e-160, "DiscriminantOverflow", "f"),
-    ], ids=["large-values", "tiny-h"])
+        (1e102, 0.02, "MomentOverflow", "theta"),
+    ], ids=["large-values", "tiny-h", "mu3-overflow"])
     def test_overflow_exits_3_with_error_json(self, tmp_path, scale, h,
                                               name, stage):
         path = dexpou.simulate_path(dexpou.ModelParams(2.0, 1.2, 1.6, 0.6),
@@ -174,18 +167,6 @@ class TestEstimateCommand:
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["estimate", tmp_path / "nope.csv"]) == 2
 
-    def test_covariance_too_short_keeps_estimates_in_error_payload(self, tmp_path):
-        # 30 observations calibrate fine (seed chosen so preconditions hold)
-        # but leave only 29 pairs, below the HAC series minimum
-        src = tmp_path / "p.csv"
-        run(["simulate", "--n", 30, "--seed", 14, "--out", src])
-        res = tmp_path / "r.json"
-        assert run(["estimate", src, "--bandwidth", 3, "--out", res]) == 3
-        payload = json.loads(res.read_text())
-        assert payload["error"]["name"] == "TooShort"
-        assert payload["error"]["stage"] == "long_run_cov"
-        assert payload["estimates"]["theta"] > 0
-
     def test_short_path_gets_model_intervals(self, tmp_path):
         # the model's A reads no path, so the same 30 points get intervals
         src = tmp_path / "p.csv"
@@ -193,8 +174,6 @@ class TestEstimateCommand:
         res = tmp_path / "r.json"
         assert run(["estimate", src, "--out", res]) == 0
         payload = json.loads(res.read_text())
-        assert payload["covariance"]["method"] == "model"
-        assert payload["covariance"]["bandwidth"] is None
         assert payload["covariance"]["n"] == 29
         for name in ("p", "rho", "xi", "theta"):
             lo, hi = payload["intervals"][name]
@@ -205,32 +184,43 @@ class TestEstimateCommand:
         run(["simulate", "--n", 3000, "--seed", 2, "--out", src])
         res = tmp_path / "r.json"
         assert run(["estimate", src, "--out", res]) == 0
-        model = json.loads(res.read_text())
-        assert run(["estimate", src, "--bandwidth", 200, "--out", res]) == 0
-        hac = json.loads(res.read_text())
-        assert hac["covariance"]["method"] == "hac"
-        assert hac["covariance"]["bandwidth"] == 200
-        for payload in (model, hac):
-            theta = payload["estimates"]["theta"]
-            assert payload["diagnostics"]["correlation_length"] == \
-                1.0 / (theta * 0.02)
-            cond = payload["diagnostics"]["jacobian_condition"]
-            assert 1.0 <= cond < 1e12
-            ratio = payload["covariance"]["sigma_min_eigenvalue_ratio"]
-            assert 0.0 <= ratio <= 0.25   # min eigenvalue over the trace
-            assert payload["warnings"] == []
-
-    def test_hac_bandwidth_below_correlation_length_warns(self, tmp_path):
-        # theta h = 0.04 at the defaults: a correlation length of ~25 steps
-        src = tmp_path / "p.csv"
-        run(["simulate", "--n", 3000, "--seed", 2, "--out", src])
-        res = tmp_path / "r.json"
-        assert run(["estimate", src, "--bandwidth", 5, "--out", res]) == 0
         payload = json.loads(res.read_text())
         theta = payload["estimates"]["theta"]
-        (warning,) = payload["warnings"]
-        assert warning.startswith("bandwidth 5 is shorter than the correlation "
-                                  f"length 1/(theta_hat h) = {1 / (theta * 0.02):.1f}")
+        assert payload["diagnostics"]["correlation_length"] == \
+            1.0 / (theta * 0.02)
+        cond = payload["diagnostics"]["jacobian_condition"]
+        assert 1.0 <= cond < 1e12
+        ratio = payload["covariance"]["sigma_min_eigenvalue_ratio"]
+        assert 0.0 <= ratio <= 0.25   # min eigenvalue over the trace
+        assert set(payload["covariance"]) == {
+            "A", "Sigma", "n", "sigma_min_eigenvalue_ratio"}
+        assert payload["warnings"] == []
+
+    def test_bandwidth_flag_exits_2(self, capsys):
+        # A is the model's; there is no HAC bandwidth to choose
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", "p.csv", "--bandwidth", 13])
+        assert exc.value.code == 2
+        assert "--bandwidth" in capsys.readouterr().err
+
+    def test_bandwidth_in_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bandwidth": 13}))
+        assert run(["estimate", "p.csv", "--config", cfg]) == 2
+        assert "unknown option(s) ['bandwidth']" in capsys.readouterr().err
+
+    def test_tiny_values_fail_typed(self, tmp_path):
+        # x * 1e-60: the root refine's extrapolation denominator underflows
+        # to 0; the fit completes and a later stage fails typed
+        path = dexpou.simulate_path(dexpou.ModelParams(2.0, 1.2, 1.6, 0.6),
+                                    0.0, 0.02, 2000, seed=1)
+        src = tmp_path / "p.csv"
+        dexpou.write_path_csv(
+            dexpou.SamplePath(h=0.02, values=path.values * 1e-60), src)
+        res = tmp_path / "r.json"
+        assert run(["estimate", src, "--out", res]) == 3
+        payload = json.loads(res.read_text())
+        assert 1.7 < payload["estimates"]["theta"] < 2.3
 
 
 class TestExperimentCommand:

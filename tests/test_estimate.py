@@ -148,10 +148,10 @@ class TestEstimateTheta:
             estimate_theta(m)
 
     def test_nan_moments_rejected_typed(self):
-        # every comparison with NaN is False, so the checks must be written
-        # as "not x > 0" for a NaN moment to fail them
+        # a NaN moment is named before the inequalities, which would report
+        # it as a variance "nan <= 0"
         path = SamplePath(h=H_REF, values=np.array([0.1, np.nan, 0.3, 0.2]))
-        with pytest.raises(NonPositiveVariance):
+        with pytest.raises(MomentOverflow, match="^mu1 = nan is not finite"):
             estimate_theta(empirical_moments(path))
 
     def test_stage_labels(self):
@@ -285,15 +285,17 @@ def scalar_g(f: FVector):
     return lambda p: _g(p, f.f1, f.discriminant, f.f3, math.sqrt)
 
 
-def simulated_fs(n: int, reps: int):
-    """Reduced statistics of ``reps`` simulated fits at length ``n``;
-    fits that fail before the root problem are skipped."""
+def simulated_fs(n: int, reps: int, k: int = 0):
+    """Reduced statistics of ``reps`` simulated fits at length ``n``, of the
+    paths scaled by ``2**k``; fits that fail before the root problem are
+    skipped."""
     params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
     fs = []
     for j in range(reps):
-        path = simulate_path(params, 0.0, H_REF, n, seed=41, replication=j)
+        x = simulate_path(params, 0.0, H_REF, n, seed=41,
+                          replication=j).values
         try:
-            m = empirical_moments(path)
+            m = empirical_moments(SamplePath(h=H_REF, values=np.ldexp(x, k)))
             fs.append(compute_f(m, estimate_theta(m)))
         except EstimationError:
             continue
@@ -334,9 +336,12 @@ class TestGKernel:
 class TestBrentRefine:
     def test_matches_scipy_brentq_bits(self):
         brentq = pytest.importorskip("scipy.optimize").brentq
+        # at k <= -120 the extrapolation step's denominator underflows to 0
         brackets = [(f, lo, hi)
-                    for n in (300, 1000, 10_000)
-                    for f in simulated_fs(n, 400)
+                    for n, reps, k in ((300, 400, 0), (1000, 400, 0),
+                                       (10_000, 400, 0), (10_000, 20, -120),
+                                       (10_000, 20, -200), (10_000, 20, -300))
+                    for f in simulated_fs(n, reps, k)
                     for lo, hi in scan_g(f).brackets if lo < hi]
         assert len(brackets) >= 1000
         for f, lo, hi in brackets:
@@ -344,6 +349,18 @@ class TestBrentRefine:
             ours = _brent(g, float(lo), float(hi))
             theirs = brentq(g, lo, hi, xtol=ROOT_WIDTH_TOL)
             assert ours == theirs, (f, lo, hi)
+
+    @pytest.mark.parametrize("k", [-120, -200])
+    def test_underflowing_step_bisects(self, ref_params, k):
+        # on x * 2^k the extrapolation denominator underflows to 0; the
+        # step must bisect, as in C, and keep theta's bits and p
+        for seed in range(1, 21):
+            x = simulate_path(ref_params, 0.0, H_REF, 10_000,
+                              seed=seed).values
+            r0 = estimate_all(SamplePath(h=H_REF, values=x))
+            r = estimate_all(SamplePath(h=H_REF, values=np.ldexp(x, k)))
+            assert r.theta_hat == r0.theta_hat, seed
+            assert abs(r.p_hat - r0.p_hat) <= 1e-14, seed
 
     def test_exact_zero_at_an_end_point(self):
         brentq = pytest.importorskip("scipy.optimize").brentq
@@ -467,7 +484,7 @@ class TestPipeline:
         assert any(v is not None for v in outcomes)
 
     @pytest.mark.parametrize("scale, h, error", [
-        (1e155, H_REF, MomentOverflow),       # mu1^2 overflows
+        (1e155, H_REF, MomentOverflow),       # mu2 overflows
         (1.0, 1e-160, DiscriminantOverflow),  # f1^2 = (theta mu1)^2 does
     ], ids=["large-values", "tiny-h"])
     def test_overflow_fails_typed(self, ref_params, scale, h, error):
@@ -478,6 +495,28 @@ class TestPipeline:
                 estimate_all(SamplePath(h=h, values=x * scale))
         assert exc.value.stage == error.stage
         assert error.stage == ("theta" if error is MomentOverflow else "f")
+
+    @pytest.mark.parametrize("scale, moment", [
+        (1e102, "mu3 = inf"),
+        (1e150, "mu3 = nan"),
+        (1e154, "mu2 = inf"),
+    ], ids=["mu3-inf", "mu3-nan", "mu2-inf"])
+    def test_overflowed_moment_is_named(self, ref_params, scale, moment):
+        # checked before any inequality, which an inf or nan moment would
+        # fail with the wrong name
+        x = simulate_path(ref_params, 0.0, H_REF, 10_000, seed=1).values
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(MomentOverflow,
+                               match=f"^{moment} is not finite") as exc:
+                estimate_all(SamplePath(h=H_REF, values=x * scale))
+        assert exc.value.stage == "theta"
+
+    def test_mu1_squared_overflow_is_typed(self):
+        # finite moments whose mu1^2 leaves float64's range
+        m = EmpiricalMoments(mu1=1e155, mu2=1.0, mu3=0.0, mu4=1.0,
+                             n_used=10, h=H_REF)
+        with pytest.raises(MomentOverflow, match=r"mu1\^2 overflows"):
+            estimate_theta(m)
 
     def test_g_curve_attachment(self, ref_exact_empirical):
         # the curve `gcurve` writes, scanned from the fit's f, starts at
