@@ -31,7 +31,6 @@ from .model import (
 from .simulate import (
     SamplePath,
     default_burn_in,
-    draw_double_exp,
     draw_transition_jump_sum,
     make_rng,
     simulate_path,
@@ -42,8 +41,6 @@ from .estimate import (
     FVector,
     RootScan,
     compute_f,
-    empirical_char_fn,
-    empirical_joint_char_fn,
     empirical_moments,
     estimate_all,
     estimate_from_moments,

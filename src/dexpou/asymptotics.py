@@ -5,8 +5,9 @@ is the long-run covariance of the observable series (x, x^2, x^3, x y) over
 consecutive observation pairs.  A is the model's own long-run covariance at
 the estimates, :func:`dexpou.model.model_long_run_cov`: a closed form in
 (theta, rho, xi, p, h) that costs O(1) and reads no path.  The Bartlett sum
-:func:`long_run_cov` of :func:`observable_series` is the model-free
-reference that the tests check ``model_long_run_cov`` against.
+:func:`long_run_cov` of :func:`observable_series`, taken literally lag by
+lag, is the model-free reference that the tests check
+``model_long_run_cov`` against.
 
 The covariance of the parameter estimates follows by the delta method:
 ``Sigma = B A B^T`` with ``B = (grad_theta h)^{-1} (grad_mu h~)``, the
@@ -95,67 +96,30 @@ def observable_series(path: SamplePath) -> np.ndarray:
     return series
 
 
-def _next_fast_len(n: int) -> int:
-    """Smallest 5-smooth ``2^a 3^b 5^c >= n``: a length whose real FFT
-    factors into radix-2, 3 and 5 passes."""
-    best = 1 << max(n - 1, 0).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the smallest power-of-2 multiple of 3^b 5^c that reaches n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def long_run_cov(series: np.ndarray, bandwidth: int) -> np.ndarray:
     """Bartlett-tapered long-run covariance matrix of the given series.
 
     ``series`` has shape (k, m) and ``bandwidth`` is the lag L >= 0, clipped
-    to ``m - 1``.  The result is
-    ``C(0) + sum_{l=1..L} w_l (C(l) + C(l)^T)`` with
-    ``C(l)[i, j] = (1/m) sum_t X[i, t] X[j, t + l]`` for the centred series,
-    symmetrized.  It is computed from the spectral-window identity
+    to ``m - 1``.  The result is the literal lag sum
 
-        A[i, j] = (1 / (m nfft)) sum_f W(f) Re(conj(F_i(f)) F_j(f)),
+        A = C(0) + sum_{l=1..L} (1 - l/(L+1)) (C(l) + C(l)^T),
+        C(l)[i, j] = (1/m) sum_t X[i, t] X[j, t + l],
 
-    where F is the ``numpy.fft`` DFT of the series zero-padded to the
-    5-smooth length ``nfft >= m + L + 1`` (so no lag up to L wraps around)
-    and W is the DFT of the circular Bartlett lag window, the Fejer kernel
-
-        W(0) = L + 1,  W(f) = sin^2(pi f (L+1) / nfft) / ((L+1) sin^2(pi f / nfft)),
-
-    which is non-negative.  Only the real half-spectrum is kept, with W
-    doubled on bins that stand for a mirror bin.  Each spectrum is scaled by
-    ``sqrt(W)`` in place, so A is the Gram matrix of the scaled spectra
-    viewed as real vectors.  The series is centred straight into the padded
-    buffer that the FFT consumes; peak memory is that buffer plus the
-    spectrum, about twice the series.
+    over the centred series X, symmetrized: one k x k product per lag.  Peak
+    memory is the centred copy of the series.
     """
     X = np.atleast_2d(np.asarray(series, dtype=float))
-    k, m = X.shape
+    m = X.shape[1]
     L = int(bandwidth)
     if L < 0:
         raise ValueError(f"bandwidth must be >= 0, got {bandwidth!r}")
     L = min(L, m - 1)
-    nfft = _next_fast_len(m + L + 1)
-    buf = np.zeros((k, nfft))
-    np.subtract(X, X.mean(axis=1, keepdims=True), out=buf[:, :m])
-    F = np.fft.rfft(buf, axis=1)
-    del buf
-    f = np.arange(1, nfft // 2 + 1)
-    W = np.empty(nfft // 2 + 1)
-    W[0] = L + 1.0
-    # sin^2 has period pi, so reduce f (L+1) modulo nfft in exact integers
-    W[1:] = (np.square(np.sin(np.pi / nfft * (f * (L + 1) % nfft)))
-             / ((L + 1.0) * np.square(np.sin(np.pi / nfft * f))))
-    W[1:(nfft + 1) // 2] *= 2.0
-    W /= m * nfft
-    F *= np.sqrt(W)
-    V = F.view(np.float64)
-    A = V @ V.T
+    X = X - X.mean(axis=1, keepdims=True)
+    A = X @ X.T
+    for lag in range(1, L + 1):
+        C = X[:, :-lag] @ X[:, lag:].T
+        A += (1.0 - lag / (L + 1.0)) * (C + C.T)
+    A /= m
     return 0.5 * (A + A.T)
 
 

@@ -38,7 +38,7 @@ from .errors import (
     NonPositiveVariance,
     NoRoot,
 )
-from .model import StationaryMoments
+from .model import StationaryMoments, tilde_h_map
 from .simulate import SamplePath
 
 __all__ = [
@@ -48,8 +48,6 @@ __all__ = [
     "EstimationResult",
     "GScan",
     "empirical_moments",
-    "empirical_char_fn",
-    "empirical_joint_char_fn",
     "estimate_theta",
     "compute_f",
     "g_values",
@@ -175,10 +173,11 @@ def empirical_moments(path: SamplePath) -> EmpiricalMoments:
     for start in range(0, m, MOMENT_CHUNK):
         head = x[start:min(start + MOMENT_CHUNK, m)]
         b = len(head)
-        np.multiply(head, head, out=sq[:b])
+        np.square(head, out=sq[:b])
         sums[0] += head.sum()
         sums[1] += sq[:b].sum()
-        sums[2] += np.multiply(sq[:b], head, out=prod[:b]).sum()
+        sq[:b] *= head                          # the cubes, in place
+        sums[2] += sq[:b].sum()
         sums[3] += np.multiply(head, x[start + 1:start + 1 + b],
                                out=prod[:b]).sum()
     mu1, mu2, mu3, mu4 = (float(s) / m for s in sums)
@@ -186,33 +185,9 @@ def empirical_moments(path: SamplePath) -> EmpiricalMoments:
                             n_used=m, h=path.h)
 
 
-def empirical_char_fn(path: SamplePath, u):
-    """Empirical characteristic function (1/n) sum exp(i u X_j).
-    Diagnostic only; compares against the analytic stationary CF."""
-    x = path.values
-    if len(x) == 0:
-        raise ValueError("path is empty")
-    u = np.asarray(u, dtype=float)
-    val = np.mean(np.exp(1j * np.multiply.outer(u, x)), axis=-1)
-    return complex(val) if val.ndim == 0 else val
-
-
-def empirical_joint_char_fn(path: SamplePath, u, v):
-    """Empirical joint CF (1/(n-1)) sum exp(i u X_j + i v X_{j+1})."""
-    x = path.values
-    if len(x) < 2:
-        raise ValueError(f"path must have >= 2 observations, got {len(x)}")
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    val = np.mean(
-        np.exp(1j * (np.multiply.outer(u, x[:-1]) + np.multiply.outer(v, x[1:]))),
-        axis=-1,
-    )
-    return complex(val) if val.ndim == 0 else val
-
-
 def estimate_theta(moments: EmpiricalMoments) -> float:
-    """theta = ln((mu2 - mu1^2) / (mu4 - mu1^2)) / h.
+    """theta = ln((mu2 - mu1^2) / (mu4 - mu1^2)) / h, from the second and
+    fourth components of :func:`dexpou.model.tilde_h_map`.
 
     Raises :class:`MomentOverflow` naming the first of mu1..mu4 that is not
     finite, or when mu1^2 exceeds float64's range, and the typed error
@@ -224,9 +199,8 @@ def estimate_theta(moments: EmpiricalMoments) -> float:
         if not math.isfinite(value):
             raise MomentOverflow(f"{name} = {value!r} is not finite")
     try:
-        var = moments.mu2 - moments.mu1**2
-        autocov = moments.mu4 - moments.mu1**2
-    except OverflowError:  # a float's ** raises where numpy gives inf
+        _, var, _, autocov = tilde_h_map(moments.to_array()).tolist()
+    except OverflowError:
         raise MomentOverflow(
             f"mu1^2 overflows float64: mu1 = {moments.mu1:.6e}") from None
     if not var > 0:
@@ -241,15 +215,16 @@ def estimate_theta(moments: EmpiricalMoments) -> float:
 
 
 def compute_f(moments: EmpiricalMoments, theta_hat: float) -> FVector:
-    """Reduced statistics of the three remaining moment equations."""
+    """Reduced statistics of the three remaining moment equations: theta_hat
+    times the first three components of :func:`dexpou.model.tilde_h_map`,
+    the third halved."""
     if not theta_hat > 0:
         raise ValueError(f"theta_hat must be > 0, got {theta_hat!r}")
-    mu1, mu2, mu3 = moments.mu1, moments.mu2, moments.mu3
-    var = mu2 - mu1**2
+    mu1, var, reduced, _ = tilde_h_map(moments.to_array()).tolist()
     f = FVector(
         f1=theta_hat * mu1,
         f2=theta_hat * var,
-        f3=0.5 * theta_hat * (mu3 - mu2 * mu1 - 2.0 * mu1 * var),
+        f3=0.5 * theta_hat * reduced,
         theta_hat=theta_hat,
     )
     if f.discriminant <= 0:

@@ -156,23 +156,16 @@ def joint_char_fn(params: ModelParams, u, v, h: float):
 def analytic_moments(params: ModelParams, h: float) -> StationaryMoments:
     """Closed-form stationary moments (first three plus the lag-h product).
 
-    Derived from the cumulants of the stationary law: with r = lam/theta,
-
-        m1 = r (p rho - q xi)
-        m2 = r (p rho^2 + q xi^2) + m1^2
-        m3 = 2 r (p rho^3 - q xi^3) + m2 m1 + 2 m1 (m2 - m1^2)
-        m4 = e^{-theta h} r (p rho^2 + q xi^2) + m1^2
+    Derived from the cumulants of the stationary law, ``lam`` times those of
+    :func:`stationary_cumulants`: m1..m3 follow from kappa_1..kappa_3 by
+    the moment-cumulant recursion, and ``m4 = e^{-theta h} kappa_2 + m1^2``.
     """
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h!r}")
-    p, q = params.p, params.q
-    rho, xi = params.rho, params.xi
-    r = params.lam / params.theta
-    m1 = r * (p * rho - q * xi)
-    var = r * (p * rho**2 + q * xi**2)
-    m2 = var + m1**2
-    m3 = 2.0 * r * (p * rho**3 - q * xi**3) + m2 * m1 + 2.0 * m1 * var
-    m4 = math.exp(-params.theta * h) * var + m1**2
+    kappa = (params.lam * stationary_cumulants(params.theta, params.rho,
+                                               params.xi, params.p)[:3]).tolist()
+    _, m1, m2, m3 = _moments_from_cumulants(kappa).tolist()
+    m4 = math.exp(-params.theta * h) * kappa[1] + m1**2
     return StationaryMoments(m1=m1, m2=m2, m3=m3, m4=m4, h=h)
 
 
@@ -191,9 +184,9 @@ def stationary_cumulants(theta: float, rho: float, xi: float,
 
         kappa_r = (r-1)! (p rho^r + (-1)^r q xi^r) / theta,
 
-    the r-th jump-size moment divided by r theta.  The first three give the
-    moments of :func:`analytic_moments`; the long-run covariance of the
-    moment averages needs all six."""
+    the r-th jump-size moment divided by r theta.  The first three give
+    :func:`h_map` and the moments of :func:`analytic_moments`; the long-run
+    covariance of the moment averages needs all six."""
     _validate_point(theta, rho, xi, p)
     q = 1.0 - p
     return np.array([
@@ -326,29 +319,26 @@ def model_long_run_cov(theta: float, rho: float, xi: float, p: float,
 
 
 def h_map(theta: float, rho: float, xi: float, p: float, h: float) -> np.ndarray:
-    """Parameter-side map (h1, h2, h3, h4) of the moment system.
+    """Parameter-side map (h1, h2, h3, h4) of the moment system: the
+    cumulants ``(kappa_1, kappa_2, kappa_3, e^{-theta h} kappa_2)`` of
+    :func:`stationary_cumulants`.
 
-    h3 carries the factor 2 so that ``h_map(params) == tilde_h_map(moments)``
-    holds as an identity for the moments of :func:`analytic_moments` (with
-    lam = 1); the factor-free variant would break that consistency.
+    h3 = kappa_3 carries the factor 2 so that
+    ``h_map(params) == tilde_h_map(moments)`` holds as an identity for the
+    moments of :func:`analytic_moments` (with lam = 1); the factor-free
+    variant would break that consistency.
     """
-    _validate_point(theta, rho, xi, p)
-    q = 1.0 - p
-    decay = math.exp(-theta * h)
-    h2 = (p * rho**2 + q * xi**2) / theta
-    return np.array([
-        (p * rho - q * xi) / theta,
-        h2,
-        2.0 * (p * rho**3 - q * xi**3) / theta,
-        decay * h2,
-    ])
+    kappa = stationary_cumulants(theta, rho, xi, p)
+    return np.array([kappa[0], kappa[1], kappa[2],
+                     math.exp(-theta * h) * kappa[1]])
 
 
 def tilde_h_map(mu) -> np.ndarray:
     """Moment-side map (mu1, mu2 - mu1^2, mu3 - mu2 mu1 - 2 mu1 (mu2 - mu1^2),
     mu4 - mu1^2).  ``mu`` is any length-4 sequence (mu1, mu2, mu3, mu4);
-    the observation lag does not enter."""
-    mu1, mu2, mu3, mu4 = np.asarray(mu, dtype=float)
+    the observation lag does not enter.  Evaluated on Python floats, so a
+    ``mu1^2`` beyond float64's range raises ``OverflowError``."""
+    mu1, mu2, mu3, mu4 = (float(m) for m in mu)
     var = mu2 - mu1**2
     return np.array([
         mu1,

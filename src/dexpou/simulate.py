@@ -51,7 +51,6 @@ __all__ = [
     "SamplePath",
     "make_rng",
     "default_burn_in",
-    "draw_double_exp",
     "draw_transition_jump_sum",
     "simulate_path",
 ]
@@ -97,26 +96,6 @@ def default_burn_in(theta: float, h: float) -> int:
     return math.ceil(10.0 / (theta * h))
 
 
-def draw_double_exp(p: float, eta, phi, rng: np.random.Generator, size=None):
-    """Draw from the two-sided exponential density
-    ``p eta exp(-eta y) [y >= 0] + (1-p) phi exp(phi y) [y < 0]``.
-
-    ``eta``/``phi`` may be arrays broadcastable against ``size`` (used by the
-    scale-mixture transition sampler).  Scalar draw when ``size`` is None.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p!r}")
-    eta = np.asarray(eta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if np.any(eta <= 0) or np.any(phi <= 0):
-        raise ValueError("eta and phi must be > 0")
-    n = 1 if size is None else int(size)
-    side = rng.random(n)
-    mag = rng.standard_exponential(n)
-    out = np.where(side < p, mag / eta, -mag / phi)
-    return float(out[0]) if size is None else out
-
-
 def draw_transition_jump_sum(params: ModelParams, h: float,
                              rng: np.random.Generator, size=None):
     """Draw the jump contribution of one observation step (vectorized over
@@ -132,8 +111,8 @@ def draw_transition_jump_sum(params: ModelParams, h: float,
     counts = rng.poisson(params.lam * h, n)
     total = int(counts.sum())
     scale = np.exp(params.theta * h * rng.random(total))
-    # the draws of draw_double_exp(p, eta * scale, phi * scale), without its
-    # re-checks: mag / (-phi * scale) is -mag / (phi * scale) bit for bit
+    # two-sided exponential draws at rates (eta, phi) * scale, up with
+    # probability p: mag / (-phi * scale) is -mag / (phi * scale) bit for bit
     side = rng.random(total)
     mag = rng.standard_exponential(total)
     scale *= np.where(side < params.p, params.eta, -params.phi)

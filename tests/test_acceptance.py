@@ -17,8 +17,6 @@ from dexpou import (
     analytic_moments,
     confidence_intervals,
     covariance_estimate,
-    empirical_char_fn,
-    empirical_joint_char_fn,
     estimate_all,
     estimate_from_moments,
     h_map,
@@ -36,6 +34,7 @@ from dexpou.errors import EstimationError, NoRoot
 from dexpou.model import PARAM_ORDER
 
 from conftest import H_REF, random_valid_params
+from oracles import empirical_char_fn, empirical_joint_char_fn
 from test_estimate import exact_f, no_root_f
 from test_model import _fd_jacobian
 

@@ -24,7 +24,6 @@ from dexpou import (
     sigma_matrix,
     simulate_path,
 )
-from dexpou.asymptotics import _next_fast_len
 from dexpou.errors import SingularJacobian
 
 from conftest import H_REF
@@ -88,7 +87,7 @@ class TestLongRunCov:
                                rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("n, L, L_direct", [
-        (350, 24, 24),   # m = 349, m + L + 1 = 374: odd transform length 375
+        (350, 24, 24),   # m = 349: an odd series length
         (40, 200, 38),   # clipped to m - 1, which also changes the weights
         (301, 0, 0),     # lag-0 covariance only
     ], ids=["odd-nfft", "clipped", "zero-bandwidth"])
@@ -97,14 +96,6 @@ class TestLongRunCov:
                                             seed=19))
         assert np.allclose(long_run_cov(s, L), bartlett_direct(s, L_direct),
                            rtol=1e-10, atol=1e-14)
-
-    def test_next_fast_len_matches_scipy(self):
-        next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
-        rng = np.random.default_rng(5)
-        sizes = list(range(1, 5001)) + rng.integers(5001, 2_000_001,
-                                                    3000).tolist()
-        assert [_next_fast_len(n) for n in sizes] == \
-            [next_fast_len(n, real=True) for n in sizes]
 
     def test_peak_memory_small_multiple_of_series(self, ref_params):
         # memory must stay a small multiple of the input, not grow with k**2

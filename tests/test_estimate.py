@@ -15,8 +15,6 @@ from dexpou import (
     SamplePath,
     analytic_moments,
     compute_f,
-    empirical_char_fn,
-    empirical_joint_char_fn,
     empirical_moments,
     estimate_all,
     estimate_from_moments,
@@ -49,6 +47,7 @@ from dexpou.estimate import (
 )
 
 from conftest import H_REF, random_valid_params
+from oracles import empirical_char_fn, empirical_joint_char_fn
 
 
 def exact_f(params: ModelParams) -> FVector:

@@ -12,9 +12,7 @@ from scipy.stats import skew
 from dexpou import (
     ModelParams,
     default_burn_in,
-    draw_double_exp,
     draw_transition_jump_sum,
-    empirical_char_fn,
     make_rng,
     simulate_path,
     stationary_char_fn,
@@ -23,6 +21,7 @@ from dexpou import (
 from dexpou.simulate import _MAX_BLOCK, _SPAN, _ar1_in_place
 
 from conftest import H_REF
+from oracles import draw_double_exp, empirical_char_fn
 
 
 def test_default_burn_in(ref_params):
