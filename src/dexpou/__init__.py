@@ -6,7 +6,6 @@ from .errors import (
     DiscriminantOverflow,
     EstimationError,
     MomentOverflow,
-    MultipleRoots,
     NonPositiveAutocov,
     NonPositiveRate,
     NonPositiveTheta,

@@ -155,11 +155,26 @@ def sigma_matrix(A: np.ndarray, mu, theta: float, rho: float, xi: float,
 def covariance_estimate(path: SamplePath,
                         result: EstimationResult) -> CovarianceEstimate:
     """Assemble A and Sigma for an estimated path: A is the model's
-    long-run covariance at the estimates."""
-    point = (result.theta_hat, result.rho_hat, result.xi_hat, result.p_hat,
-             path.h)
+    long-run covariance at the estimates.
+
+    Both are evaluated in standardised units: rho and xi are divided by
+    2^k, with k the binary exponent of the larger, and mu1..mu4 by 2^k,
+    2^2k, 2^3k and 2^2k.  The model's powers of rho and xi then neither
+    overflow nor underflow, and ``jacobian_condition`` does not depend on
+    the units of the path.  Scaling by powers of two is exact, so A and
+    Sigma are scaled back without rounding (an entry of A beyond float64's
+    range becomes inf)."""
+    k = math.frexp(max(result.rho_hat, result.xi_hat))[1]
+    point = (result.theta_hat, math.ldexp(result.rho_hat, -k),
+             math.ldexp(result.xi_hat, -k), result.p_hat, path.h)
+    degree = np.array([1, 2, 3, 2])         # of mu1..mu4 in the path
     A = model_long_run_cov(*point)
-    Sigma, cond = _delta_method(A, result.moments.to_array(), *point)
+    Sigma, cond = _delta_method(
+        A, np.ldexp(result.moments.to_array(), -k * degree), *point)
+    rates = k * np.array([0, 1, 1, 0])       # rho and xi in PARAM_ORDER
+    with np.errstate(over="ignore"):
+        A = np.ldexp(A, k * (degree[:, None] + degree))
+        Sigma = np.ldexp(Sigma, rates[:, None] + rates)
     return CovarianceEstimate(A=A, Sigma=Sigma, n=len(path.values) - 1,
                               jacobian_condition=cond)
 

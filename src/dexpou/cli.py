@@ -81,7 +81,6 @@ OPTIONS = {
     "estimate": (
         ("input", str, None, "two-column t,x CSV with constant spacing"),
         ("--level", float, 0.95, None),
-        ("--grid", int, 2001, None),
         _out(None),
     ),
     "experiment": PATH_OPTIONS + (
@@ -253,13 +252,10 @@ def cmd_estimate(options: dict) -> int:
     path = read_path_csv(options["input"])
     payload = {"provenance": _provenance(options)}
     try:
-        result = estimate_all(path, grid_size=options["grid"])
+        result = estimate_all(path)
         payload["estimates"] = result.estimates_dict()
         payload["diagnostics"] = {
             "correlation_length": 1.0 / (result.theta_hat * path.h),
-            "root_bracket": list(result.root.bracket),
-            "sign_change_count": result.root.sign_change_count,
-            "g_prime_sign_constant": result.root.g_prime_sign_constant,
             "moments": {
                 "mu1": result.moments.mu1, "mu2": result.moments.mu2,
                 "mu3": result.moments.mu3, "mu4": result.moments.mu4,
@@ -329,11 +325,15 @@ def cmd_experiment(options: dict) -> int:
                 if not err:
                     block.append((p_h, eta_h, phi_h, th_h))
             if block:
+                # the summaries are over the fits that succeeded
+                failed = options["seeds"] - len(block)
+                note = f"{failed} of {options['seeds']} failed" if failed else ""
                 arr = np.array(block)
                 med = np.median(arr, axis=0)
                 q25, q75 = np.percentile(arr, [25, 75], axis=0)
-                writer.writerow([n, "median"] + [fmt(v) for v in med] + [""])
-                writer.writerow([n, "iqr"] + [fmt(v) for v in q75 - q25] + [""])
+                writer.writerow([n, "median"] + [fmt(v) for v in med] + [note])
+                writer.writerow([n, "iqr"] + [fmt(v) for v in q75 - q25]
+                                + [note])
             else:
                 writer.writerow([n, "median", "", "", "", "", "all cells failed"])
     _write_json({"provenance": _provenance(options)}, metadata_path(out))

@@ -58,29 +58,16 @@ class DiscriminantOverflow(EstimationError):
 
 
 class NoRoot(EstimationError):
-    """The scan found no sign change of g on (0, 1) (model misfit or
-    too-small sample), or the refine of a bracket did not converge."""
+    """The root p of g lies outside [1e-6, 1 - 1e-6], the estimator's
+    domain (model misfit or too-small sample), or cannot be formed because
+    (f2 - f1^2)^{3/2} underflows (the path's values are too small)."""
 
     stage = "solve_p"
-
-
-class MultipleRoots(EstimationError):
-    """More than one sign change of g on (0, 1). All refined roots are
-    attached; no root is silently chosen."""
-
-    stage = "solve_p"
-
-    def __init__(self, roots):
-        self.roots = tuple(sorted(float(r) for r in roots))
-        self.count = len(self.roots)
-        super().__init__(
-            f"g(p) has {self.count} roots on (0, 1): {self.roots}; "
-            "refusing to choose one"
-        )
 
 
 class NonPositiveRate(EstimationError):
-    """Recovered rho or xi is not strictly positive."""
+    """Recovered rho or xi is not strictly positive: at the root this
+    happens exactly when f1 f3 >= f2^2 (the two atoms share a sign)."""
 
     stage = "recover"
 

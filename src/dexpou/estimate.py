@@ -1,8 +1,8 @@
 """Moment calibration: from an observed path to (theta, eta, phi, p).
 
 Pipeline: sample moments -> closed-form theta -> reduced statistics
-(f1, f2, f3) -> scalar root problem g(p) = 0 on (0, 1) -> back-substitution
-for rho, xi -> eta = 1/rho, phi = 1/xi.  Assumes the lam = sigma = 1
+(f1, f2, f3) -> the root p of g(p) = 0 on (0, 1) -> back-substitution for
+rho, xi -> eta = 1/rho, phi = 1/xi.  Assumes the lam = sigma = 1
 calibration convention throughout.
 
 All four sample moments are averaged over the same index set j = 1..n-1 (the
@@ -10,18 +10,17 @@ lag product needs pairs), which preserves the exact algebraic identities the
 solver relies on.  They are summed in chunks of ``MOMENT_CHUNK`` rows, so
 the moment pass of a fit needs memory of order the chunk, not the path.
 Every precondition failure raises a typed error from :mod:`dexpou.errors`;
-nothing is clamped or silently repaired.  Root uniqueness is diagnosed
-(sign-change count over a grid), never assumed: with multiple sign changes
-the solver refuses and reports all roots.  Each bracket is refined by an
-in-package port of Brent's method (the algorithm of ``scipy.optimize.brentq``)
-on Python floats, through the same multiply-only g kernel that the grid scan
-evaluates on arrays, so the estimate path needs numpy alone.
+nothing is clamped or silently repaired.  ``(f1, f2, f3)`` are the first
+three raw moments of a two-point law (rho with probability p, -xi with
+q), whose skewness falls strictly in p: g has exactly one root, and
+:func:`solve_p` evaluates it in closed form.  The g-curve itself,
+:func:`scan_g`, is kept for inspection (``dexpou gcurve``) and as the
+tests' oracle for that root.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,7 +30,6 @@ from .errors import (
     DiscriminantNonpositive,
     DiscriminantOverflow,
     MomentOverflow,
-    MultipleRoots,
     NonPositiveAutocov,
     NonPositiveRate,
     NonPositiveTheta,
@@ -58,13 +56,9 @@ __all__ = [
     "estimate_all",
 ]
 
-GRID_EPS = 1e-6          # root search domain is [GRID_EPS, 1 - GRID_EPS]
-DEFAULT_GRID_SIZE = 2001
-ROOT_G_TOL = 1e-12       # |g| tolerance at the refined root
-ROOT_WIDTH_TOL = 1e-14   # bracket width tolerance of the refiner
-ROOT_RTOL = 4 * sys.float_info.epsilon  # relative tolerance of the refiner
-ROOT_MAXITER = 100       # refiner iterations before NoRoot
-MOMENT_CHUNK = 1 << 16   # rows per block of the moment sums
+GRID_EPS = 1e-6           # the domain of p is [GRID_EPS, 1 - GRID_EPS]
+DEFAULT_GRID_SIZE = 2001  # points of the g-curve of scan_g
+MOMENT_CHUNK = 1 << 16    # rows per block of the moment sums
 
 
 @dataclass(frozen=True)
@@ -123,17 +117,18 @@ class GScan:
 
 @dataclass(frozen=True)
 class RootScan:
-    """Outcome of the g(p) = 0 scan-and-refine search."""
+    """The root of g(p) = 0 found by :func:`solve_p`: ``p_hat`` and
+    ``q_hat = 1 - p_hat``, each evaluated without cancellation.  g has
+    exactly one root in (0, 1), so ``sign_change_count`` is always 1."""
 
     p_hat: float
-    bracket: tuple
-    sign_change_count: int
-    g_prime_sign_constant: bool
+    q_hat: float
+    sign_change_count: int = 1
 
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Point estimates plus ``root``, the search that found ``p_hat``."""
+    """Point estimates plus ``root``, the root that gave ``p_hat``."""
 
     theta_hat: float
     p_hat: float
@@ -257,74 +252,6 @@ def g_values(p, f: FVector) -> np.ndarray:
     return _g(p, f.f1, d, f.f3, np.sqrt)
 
 
-def _brent(fun, a: float, b: float, xtol: float = ROOT_WIDTH_TOL,
-           rtol: float = ROOT_RTOL, maxiter: int = ROOT_MAXITER) -> float:
-    """Root of ``fun`` on the sign-changing bracket ``[a, b]`` by Brent's
-    method: inverse quadratic interpolation, secant steps and bisection.
-
-    A line-for-line port of the C ``brentq`` behind ``scipy.optimize.brentq``
-    (same steps, same step-acceptance test, same stopping rule), so it
-    returns the same bits for the same ``fun``, also where C divides by a
-    denominator that underflowed to zero.  An exact zero at an end point is
-    returned as is.  Raises :class:`NoRoot` when ``maxiter`` iterations do
-    not shrink the bracket below ``xtol + rtol |x|``.
-    """
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fun(xpre), fun(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"g has the same sign at both ends of "
-                         f"[{a!r}, {b!r}]")
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                denom = dblk * dpre * (fblk - fpre)
-                # where this underflows to 0, C's division gives inf or NaN,
-                # which fails the step test below and bisects; Python would
-                # raise ZeroDivisionError
-                stry = (-fcur * (fblk * dblk - fpre * dpre) / denom
-                        if denom != 0 else math.inf)
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fun(xcur)
-    raise NoRoot(f"Brent refine of the bracket [{a!r}, {b!r}] did not "
-                 f"converge in {maxiter} iterations")
-
-
 def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
     """Sample g on a uniform grid over [GRID_EPS, 1 - GRID_EPS] and locate
     its strict sign changes and exact zeros."""
@@ -343,76 +270,83 @@ def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
     return GScan(grid=grid, g=gv, brackets=tuple(brackets))
 
 
-def solve_p(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> RootScan:
-    """Scan g with :func:`scan_g`, count its sign changes, and refine the
-    bracketing interval with the in-package Brent refine :func:`_brent`
-    (absolute tolerance ``ROOT_WIDTH_TOL``, relative ``ROOT_RTOL``), which
-    evaluates g on Python floats and returns the bits
-    ``scipy.optimize.brentq`` would.
+def solve_p(f: FVector) -> RootScan:
+    """The root of g(p) = 0, in closed form.
 
-    Exactly one sign change is required; zero raises :class:`NoRoot` and
-    more than one raises :class:`MultipleRoots` carrying every refined root.
-    A refine that does not converge in ``ROOT_MAXITER`` iterations raises
-    :class:`NoRoot`.
-    The numerical-derivative sign-constancy of g over the grid is reported
-    as a diagnostic (a constant-sign derivative certifies uniqueness).
+    ``(f1, f2, f3)`` are the first three raw moments of the two-point law
+    that puts mass p on rho and q on -xi.  Its variance is d = f2 - f1^2,
+    its third central moment c3 = f3 - 3 f1 f2 + 2 f1^3, and its skewness
+    gamma = c3 / (d sqrt(d)) = (q - p) / sqrt(p q) falls strictly in p, so
+    g has exactly one root in (0, 1):
+
+        p = (1 - gamma / r) / 2,   q = (1 + gamma / r) / 2,
+
+    with r = sqrt(gamma^2 + 4).  The smaller of the two is taken as
+    ``2 / (r (r + |gamma|))``, so neither loses digits to cancellation.
+    ``d sqrt(d)`` scales exactly where ``d**1.5`` need not, so p keeps its
+    bits when the path is scaled by a power of two.  A root outside
+    ``[GRID_EPS, 1 - GRID_EPS]``, the estimator's domain and the span of
+    :func:`scan_g`, raises :class:`NoRoot`, as does a ``d sqrt(d)`` that
+    underflows to 0.
     """
-    scan = scan_g(f, grid_size)
-    dg = np.diff(scan.g)
-    g_prime_constant = bool(np.all(dg >= 0.0) or np.all(dg <= 0.0))
-
-    f1, d, f3 = f.f1, f.discriminant, f.f3
-
-    def g(p):
-        return _g(p, f1, d, f3, math.sqrt)
-
-    roots = [lo if lo == hi else _brent(g, float(lo), float(hi))
-             for lo, hi in scan.brackets]
-    if not roots:
-        raise NoRoot("g(p) has no sign change on (0, 1)")
-    if len(roots) > 1:
-        raise MultipleRoots(roots)
-
-    lo, hi = scan.brackets[0]
-    return RootScan(p_hat=float(roots[0]),
-                    bracket=(float(lo), float(hi)),
-                    sign_change_count=len(roots),
-                    g_prime_sign_constant=g_prime_constant)
-
-
-def recover_rho_xi(p_hat: float, f: FVector) -> tuple:
-    """Back-substitute: rho from the positive branch of the quadratic, then
-    xi from the first moment equation.  rho > f1 holds on this branch, which
-    is what makes xi positive for consistent inputs."""
-    if not 0.0 < p_hat < 1.0:
-        raise ValueError(f"p_hat must be in (0, 1), got {p_hat!r}")
     d = f.discriminant
     if d <= 0:
         raise DiscriminantNonpositive(f"f2 - f1^2 = {d:.6e} <= 0")
-    q_hat = 1.0 - p_hat
-    rho_hat = (f.f1 * p_hat + math.sqrt(p_hat * q_hat * d)) / p_hat
-    xi_hat = (p_hat * rho_hat - f.f1) / q_hat
-    if rho_hat <= 0 or xi_hat <= 0:
+    d3 = d * math.sqrt(d)
+    if d3 == 0.0:
+        raise NoRoot(f"f2 - f1^2 = {d:.6e}: its 3/2 power underflows, so "
+                     f"the skewness that fixes p cannot be formed")
+    f1 = f.f1
+    gamma = (f.f3 - 3.0 * f1 * f.f2 + 2.0 * f1 * f1 * f1) / d3
+    r = math.hypot(gamma, 2.0)
+    large = 0.5 * (r + abs(gamma)) / r
+    small = 2.0 / (r * (r + abs(gamma)))
+    p, q = (small, large) if gamma > 0 else (large, small)
+    if not GRID_EPS <= p <= 1.0 - GRID_EPS:
+        raise NoRoot(f"the root p = {p!r} of g lies outside "
+                     f"[{GRID_EPS}, 1 - {GRID_EPS}]")
+    return RootScan(p_hat=p, q_hat=q)
+
+
+def recover_rho_xi(root: RootScan, f: FVector) -> tuple:
+    """The two atoms of the law of :func:`solve_p`,
+
+        rho = f1 + sqrt(d q / p),   xi = sqrt(d p / q) - f1,
+
+    with d = f2 - f1^2 and ``(p, q)`` the root's ``(p_hat, q_hat)``;
+    ``q_hat`` keeps the digits that ``1 - p_hat`` loses where p is near 1.
+    The product of the atoms, -rho xi, is (f1 f3 - f2^2) / d, so at the
+    root both rates are positive exactly when f1 f3 < f2^2; otherwise
+    :class:`NonPositiveRate` is raised."""
+    p_hat, q_hat = root.p_hat, root.q_hat
+    if not (0.0 < p_hat < 1.0 and 0.0 < q_hat < 1.0):
+        raise ValueError(f"p_hat and q_hat must be in (0, 1), got {root!r}")
+    d = f.discriminant
+    if d <= 0:
+        raise DiscriminantNonpositive(f"f2 - f1^2 = {d:.6e} <= 0")
+    rho_hat = f.f1 + math.sqrt(d * q_hat / p_hat)
+    xi_hat = math.sqrt(d * p_hat / q_hat) - f.f1
+    if not (rho_hat > 0 and xi_hat > 0):
         raise NonPositiveRate(
-            f"recovered rho = {rho_hat:.6e}, xi = {xi_hat:.6e}; both must be > 0"
+            f"recovered rho = {rho_hat:.6e}, xi = {xi_hat:.6e}; at the root "
+            f"both are > 0 only when f1 f3 < f2^2, and f1 f3 = "
+            f"{f.f1 * f.f3:.6e}, f2^2 = {f.f2 * f.f2:.6e}"
         )
     return rho_hat, xi_hat
 
 
-def estimate_from_moments(moments: EmpiricalMoments,
-                          grid_size: int = DEFAULT_GRID_SIZE) -> EstimationResult:
+def estimate_from_moments(moments: EmpiricalMoments) -> EstimationResult:
     """Run the calibration pipeline on a moment vector (empirical or exact)."""
     theta_hat = estimate_theta(moments)
     f = compute_f(moments, theta_hat)
-    scan = solve_p(f, grid_size=grid_size)
-    rho_hat, xi_hat = recover_rho_xi(scan.p_hat, f)
-    return EstimationResult(theta_hat=theta_hat, p_hat=scan.p_hat,
+    root = solve_p(f)
+    rho_hat, xi_hat = recover_rho_xi(root, f)
+    return EstimationResult(theta_hat=theta_hat, p_hat=root.p_hat,
                             rho_hat=rho_hat, xi_hat=xi_hat,
                             eta_hat=1.0 / rho_hat, phi_hat=1.0 / xi_hat,
-                            root=scan, moments=moments, f=f)
+                            root=root, moments=moments, f=f)
 
 
-def estimate_all(path: SamplePath,
-                 grid_size: int = DEFAULT_GRID_SIZE) -> EstimationResult:
+def estimate_all(path: SamplePath) -> EstimationResult:
     """Full pipeline from a sample path to parameter estimates."""
-    return estimate_from_moments(empirical_moments(path), grid_size=grid_size)
+    return estimate_from_moments(empirical_moments(path))

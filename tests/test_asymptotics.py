@@ -233,10 +233,33 @@ class TestSigmaMatrix:
         assert np.all(np.isfinite(covariance_estimate(path, result).Sigma))
 
 
+class TestCovarianceScaleEquivariance:
+    """``covariance_estimate`` works in units of a power of two, so a path
+    scaled by 2^k gives the same standardised point bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, ref_params):
+        return [simulate_path(ref_params, 0.0, H_REF, 10_000, seed=seed)
+                for seed in range(1, 21)]
+
+    @pytest.mark.parametrize("k", [-200, -120, 120])
+    def test_sigma_and_A_scale_exactly(self, paths, k):
+        rates = k * np.array([0, 1, 1, 0])          # rho and xi rows
+        degree = k * np.array([1, 2, 3, 2])         # of mu1..mu4
+        for path in paths:
+            cov0 = covariance_estimate(path, estimate_all(path))
+            scaled = SamplePath(h=H_REF, values=np.ldexp(path.values, k))
+            cov = covariance_estimate(scaled, estimate_all(scaled))
+            assert np.array_equal(cov.Sigma,
+                                  np.ldexp(cov0.Sigma, rates[:, None] + rates))
+            assert np.array_equal(cov.A,
+                                  np.ldexp(cov0.A, degree[:, None] + degree))
+            assert cov.jacobian_condition == cov0.jacobian_condition
+
+
 def _fake_result(**kw):
     from dexpou.estimate import EstimationResult, RootScan
-    root = RootScan(p_hat=0.6, bracket=(0.59, 0.61), sign_change_count=1,
-                    g_prime_sign_constant=True)
+    root = RootScan(p_hat=0.6, q_hat=0.4)
     base = dict(theta_hat=2.0, p_hat=0.6, rho_hat=1 / 1.2, xi_hat=0.625,
                 eta_hat=1.2, phi_hat=1.6, root=root)
     base.update(kw)

@@ -113,7 +113,8 @@ class TestEstimateCommand:
         assert run(["estimate", src, "--out", res]) == 0
         payload = json.loads(res.read_text())
         assert 1.7 < payload["estimates"]["theta"] < 2.3
-        assert payload["diagnostics"]["sign_change_count"] == 1
+        assert set(payload["diagnostics"]) == {
+            "correlation_length", "moments", "f", "jacobian_condition"}
         assert len(payload["covariance"]["Sigma"]) == 4
         lo, hi = payload["intervals"]["theta"]
         assert lo < payload["estimates"]["theta"] < hi
@@ -209,18 +210,38 @@ class TestEstimateCommand:
         assert run(["estimate", "p.csv", "--config", cfg]) == 2
         assert "unknown option(s) ['bandwidth']" in capsys.readouterr().err
 
-    def test_tiny_values_fail_typed(self, tmp_path):
-        # x * 1e-60: the root refine's extrapolation denominator underflows
-        # to 0; the fit completes and a later stage fails typed
+    @pytest.mark.parametrize("scale", [1e-60, 1e52], ids=["tiny", "huge"])
+    def test_tiny_and_huge_values_fit(self, tmp_path, scale):
+        # the covariance stage runs in standardised units: rho**6 neither
+        # overflows (x 1e52) nor makes the Jacobian look singular (x 1e-60)
         path = dexpou.simulate_path(dexpou.ModelParams(2.0, 1.2, 1.6, 0.6),
                                     0.0, 0.02, 2000, seed=1)
-        src = tmp_path / "p.csv"
-        dexpou.write_path_csv(
-            dexpou.SamplePath(h=0.02, values=path.values * 1e-60), src)
-        res = tmp_path / "r.json"
-        assert run(["estimate", src, "--out", res]) == 3
-        payload = json.loads(res.read_text())
-        assert 1.7 < payload["estimates"]["theta"] < 2.3
+        res = {}
+        for name, factor in (("unit", 1.0), ("scaled", scale)):
+            src = tmp_path / f"{name}.csv"
+            dexpou.write_path_csv(
+                dexpou.SamplePath(h=0.02, values=path.values * factor), src)
+            assert run(["estimate", src, "--out", tmp_path / "r.json"]) == 0
+            res[name] = json.loads((tmp_path / "r.json").read_text())
+        unit, scaled = res["unit"], res["scaled"]
+        assert 1.7 < scaled["estimates"]["theta"] < 2.3
+        assert scaled["estimates"]["p"] == pytest.approx(
+            unit["estimates"]["p"], rel=1e-13)
+        # the units move the condition number only through the scale's
+        # mantissa, not its exponent
+        ratio = (scaled["diagnostics"]["jacobian_condition"]
+                 / unit["diagnostics"]["jacobian_condition"])
+        assert 0.1 < ratio < 10
+        lo, hi = scaled["intervals"]["rho"]
+        assert lo < scaled["estimates"]["rho"] < hi
+        assert scaled["warnings"] == []
+
+    def test_grid_flag_exits_2(self, capsys):
+        # the root is a closed form; there is no grid to choose
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", "p.csv", "--grid", 101])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
 
 
 class TestExperimentCommand:
@@ -237,6 +258,7 @@ class TestExperimentCommand:
         iqr = [r for r in rows if r["seed"] == "iqr"]
         assert len(iqr) == 2
         assert all(float(r["theta_hat"]) > 0 for r in med)
+        assert all(r["error"] == "" for r in med + iqr)  # no fit failed
         meta = json.loads((tmp_path / "t.meta.json").read_text())
         assert meta["provenance"]["options"]["seeds"] == 3
 
@@ -289,6 +311,28 @@ class TestExperimentCommand:
             rows = list(csv.DictReader(fh))
         cells = [r for r in rows if r["seed"] in ("0", "1")]
         assert all(r["error"] for r in cells)
+
+    def test_summary_rows_count_failed_fits(self, tmp_path):
+        # the median and iqr rows are taken over the fits that succeeded,
+        # and say how many did not
+        out = tmp_path / "t.csv"
+        assert run(["experiment", "--n-values", "50,200", "--seeds", 3,
+                    "--out", out]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        notes = {}
+        for n in ("50", "200"):
+            failed = sum(1 for r in rows
+                         if r["N"] == n and r["seed"].isdigit() and r["error"])
+            summary = [r["error"] for r in rows
+                       if r["N"] == n and r["seed"] in ("median", "iqr")]
+            if failed == 3:
+                assert summary == ["all cells failed"]
+            else:
+                expect = f"{failed} of 3 failed" if failed else ""
+                assert summary == [expect, expect]
+            notes[n] = summary[0]
+        assert notes == {"50": "all cells failed", "200": "2 of 3 failed"}
 
     def test_default_length_list_has_ten_values(self, tmp_path):
         out = tmp_path / "t.csv"

@@ -12,6 +12,7 @@ from dexpou import (
     EmpiricalMoments,
     FVector,
     ModelParams,
+    RootScan,
     SamplePath,
     analytic_moments,
     compute_f,
@@ -31,6 +32,7 @@ from dexpou.errors import (
     EstimationError,
     MomentOverflow,
     NonPositiveAutocov,
+    NonPositiveRate,
     NonPositiveTheta,
     NonPositiveVariance,
     NoRoot,
@@ -38,9 +40,6 @@ from dexpou.errors import (
 from dexpou.estimate import (
     GRID_EPS,
     MOMENT_CHUNK,
-    ROOT_G_TOL,
-    ROOT_WIDTH_TOL,
-    _brent,
     _g,
     g_values,
     scan_g,
@@ -222,14 +221,29 @@ def no_root_f(params: ModelParams) -> FVector:
     return FVector(f1=f.f1, f2=f.f2, f3=f3_bad, theta_hat=f.theta_hat)
 
 
+def arbitrary_fs(count: int):
+    """Statistics with a positive discriminant, far from realizable
+    parameters as well as near them."""
+    rng = np.random.default_rng(2718)
+    fs = []
+    for _ in range(count):
+        f1 = rng.uniform(-5.0, 5.0)
+        f2 = f1 * f1 + rng.uniform(0.01, 5.0)
+        f3 = rng.uniform(-20.0, 20.0)
+        fs.append(FVector(f1=f1, f2=f2, f3=f3, theta_hat=1.0))
+    return fs
+
+
 class TestSolveP:
     def test_exact_f_unique_root(self, ref_params):
         f = exact_f(ref_params)
         scan = solve_p(f)
         assert scan.sign_change_count == 1
         assert scan.p_hat == pytest.approx(0.6, abs=1e-8)
-        assert abs(float(g_values(scan.p_hat, f))) <= ROOT_G_TOL
-        assert scan.bracket[0] < scan.p_hat < scan.bracket[1]
+        assert scan.p_hat + scan.q_hat == pytest.approx(1.0, abs=1e-15)
+        assert abs(float(g_values(scan.p_hat, f))) <= 1e-12
+        (lo, hi), = scan_g(f).brackets
+        assert lo < scan.p_hat < hi
 
     def test_symmetric_root(self):
         f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
@@ -240,28 +254,13 @@ class TestSolveP:
         with pytest.raises(NoRoot):
             solve_p(no_root_f(ref_params))
 
-    def test_multiple_roots_diagnostic_contract(self):
-        # g is empirically one-crossing for every realizable f (the scaled
-        # curve is strictly decreasing), so the multiple-root branch is
-        # defensive; its reporting contract is pinned here
-        from dexpou.errors import MultipleRoots
-        err = MultipleRoots([0.7, 0.2, 0.5])
-        assert err.count == 3
-        assert err.roots == (0.2, 0.5, 0.7)
-        assert err.stage == "solve_p"
-
     def test_arbitrary_valid_f_never_multi_crossing(self):
         # empirical uniqueness: any f with positive discriminant gives at
         # most one sign change, even far from realizable parameters (an
         # extreme f3 can push the crossing outside the clipped grid, which
         # correctly reports NoRoot)
-        rng = np.random.default_rng(2718)
         outcomes = {"root": 0, "noroot": 0}
-        for _ in range(500):
-            f1 = rng.uniform(-5.0, 5.0)
-            f2 = f1 * f1 + rng.uniform(0.01, 5.0)
-            f3 = rng.uniform(-20.0, 20.0)
-            f = FVector(f1=f1, f2=f2, f3=f3, theta_hat=1.0)
+        for f in arbitrary_fs(500):
             try:
                 assert solve_p(f).sign_change_count == 1
                 outcomes["root"] += 1
@@ -269,14 +268,98 @@ class TestSolveP:
                 outcomes["noroot"] += 1
         assert outcomes["root"] > 400
 
-    def test_g_prime_sign_diagnostic(self, ref_params):
-        scan = solve_p(exact_f(ref_params))
-        assert isinstance(scan.g_prime_sign_constant, bool)
 
-    def test_coarse_grid_same_count(self, ref_params):
-        f = exact_f(ref_params)
-        assert solve_p(f, grid_size=11).sign_change_count == 1
-        assert solve_p(f, grid_size=2001).sign_change_count == 1
+# the two points of acceptance criterion 6, with their spacings
+CRITERION_6_POINTS = (
+    (ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6), H_REF),
+    (ModelParams(theta=0.5, eta=2.5, phi=0.8, p=0.3), 0.1),
+)
+
+
+def criterion_6_fs(n: int, reps: int):
+    """Reduced statistics of the paths of seed 99, replications
+    0..reps-1, at both criterion-6 points; paths that fail before the root
+    problem are skipped."""
+    fs = []
+    for params, h in CRITERION_6_POINTS:
+        for j in range(reps):
+            path = simulate_path(params, 0.0, h, n, seed=99, replication=j)
+            try:
+                m = empirical_moments(path)
+                fs.append(compute_f(m, estimate_theta(m)))
+            except EstimationError:
+                continue
+    return fs
+
+
+class TestGCurveOracle:
+    """The closed-form root against the g-curve it replaced, on simulated
+    and on arbitrary statistics."""
+
+    @pytest.fixture(scope="class")
+    def fs(self, ref_params):
+        return (criterion_6_fs(300, 300) + arbitrary_fs(500)
+                + [no_root_f(ref_params)])
+
+    def test_root_lies_in_the_only_bracket(self, fs):
+        # NoRoot exactly where the scan finds no sign change
+        outcomes = {"root": 0, "noroot": 0}
+        for f in fs:
+            brackets = scan_g(f).brackets
+            if not brackets:
+                with pytest.raises(NoRoot):
+                    solve_p(f)
+                outcomes["noroot"] += 1
+                continue
+            (lo, hi), = brackets
+            assert lo <= solve_p(f).p_hat <= hi, f
+            outcomes["root"] += 1
+        assert outcomes["noroot"] >= 2 and outcomes["root"] >= 500
+
+    def test_rates_positive_exactly_when_f1_f3_below_f2_squared(self, fs):
+        failed = 0
+        for f in fs:
+            try:
+                root = solve_p(f)
+            except NoRoot:
+                continue
+            same_sign = f.f1 * f.f3 >= f.f2 * f.f2
+            try:
+                recover_rho_xi(root, f)
+            except NonPositiveRate as exc:
+                assert same_sign, f
+                assert "f1 f3" in str(exc)
+                failed += 1
+            else:
+                assert not same_sign, f
+        assert failed >= 10
+
+
+class TestClosedFormAccuracy:
+    def test_within_1e_13_of_300_bit_evaluation(self):
+        # the same closed form in 300-bit arithmetic on the same f
+        mpmath = pytest.importorskip("mpmath")
+        errors = {"p": [], "rho": [], "xi": []}
+        with mpmath.workprec(300):
+            for f in criterion_6_fs(300, 300) + criterion_6_fs(3000, 300):
+                f1, f2, f3 = (mpmath.mpf(v) for v in (f.f1, f.f2, f.f3))
+                d = f2 - f1**2
+                gamma = (f3 - 3 * f1 * f2 + 2 * f1**3) / d**1.5
+                p = (1 - gamma / mpmath.sqrt(gamma**2 + 4)) / 2
+                exact = {"p": p, "rho": f1 + mpmath.sqrt(d * (1 - p) / p),
+                         "xi": mpmath.sqrt(d * p / (1 - p)) - f1}
+                try:
+                    root = solve_p(f)
+                    rho, xi = recover_rho_xi(root, f)
+                except EstimationError:
+                    continue
+                for name, value in (("p", root.p_hat), ("rho", rho),
+                                    ("xi", xi)):
+                    errors[name].append(float(
+                        abs(value - exact[name]) / abs(exact[name])))
+        assert len(errors["p"]) >= 100
+        worst = {name: max(errs) for name, errs in errors.items()}
+        assert all(e <= 1e-13 for e in worst.values()), worst
 
 
 def scalar_g(f: FVector):
@@ -284,17 +367,15 @@ def scalar_g(f: FVector):
     return lambda p: _g(p, f.f1, f.discriminant, f.f3, math.sqrt)
 
 
-def simulated_fs(n: int, reps: int, k: int = 0):
-    """Reduced statistics of ``reps`` simulated fits at length ``n``, of the
-    paths scaled by ``2**k``; fits that fail before the root problem are
-    skipped."""
+def simulated_fs(n: int, reps: int):
+    """Reduced statistics of ``reps`` simulated fits at length ``n``; fits
+    that fail before the root problem are skipped."""
     params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
     fs = []
     for j in range(reps):
-        x = simulate_path(params, 0.0, H_REF, n, seed=41,
-                          replication=j).values
+        path = simulate_path(params, 0.0, H_REF, n, seed=41, replication=j)
         try:
-            m = empirical_moments(SamplePath(h=H_REF, values=np.ldexp(x, k)))
+            m = empirical_moments(path)
             fs.append(compute_f(m, estimate_theta(m)))
         except EstimationError:
             continue
@@ -332,79 +413,26 @@ class TestGKernel:
                 1e-14 * np.max(np.abs(old))
 
 
-class TestBrentRefine:
-    def test_matches_scipy_brentq_bits(self):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        # at k <= -120 the extrapolation step's denominator underflows to 0
-        brackets = [(f, lo, hi)
-                    for n, reps, k in ((300, 400, 0), (1000, 400, 0),
-                                       (10_000, 400, 0), (10_000, 20, -120),
-                                       (10_000, 20, -200), (10_000, 20, -300))
-                    for f in simulated_fs(n, reps, k)
-                    for lo, hi in scan_g(f).brackets if lo < hi]
-        assert len(brackets) >= 1000
-        for f, lo, hi in brackets:
-            g = scalar_g(f)
-            ours = _brent(g, float(lo), float(hi))
-            theirs = brentq(g, lo, hi, xtol=ROOT_WIDTH_TOL)
-            assert ours == theirs, (f, lo, hi)
-
-    @pytest.mark.parametrize("k", [-120, -200])
-    def test_underflowing_step_bisects(self, ref_params, k):
-        # on x * 2^k the extrapolation denominator underflows to 0; the
-        # step must bisect, as in C, and keep theta's bits and p
-        for seed in range(1, 21):
-            x = simulate_path(ref_params, 0.0, H_REF, 10_000,
-                              seed=seed).values
-            r0 = estimate_all(SamplePath(h=H_REF, values=x))
-            r = estimate_all(SamplePath(h=H_REF, values=np.ldexp(x, k)))
-            assert r.theta_hat == r0.theta_hat, seed
-            assert abs(r.p_hat - r0.p_hat) <= 1e-14, seed
-
-    def test_exact_zero_at_an_end_point(self):
-        brentq = pytest.importorskip("scipy.optimize").brentq
-        g = scalar_g(FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0))
-        assert g(0.5) == 0.0
-        for lo, hi in ((0.5, 0.75), (0.25, 0.5), (0.5, 0.5)):
-            assert _brent(g, lo, hi) == 0.5
-            assert brentq(g, lo, hi, xtol=ROOT_WIDTH_TOL) == 0.5
-
-    def test_no_convergence_raises_typed(self, ref_params):
-        f = exact_f(ref_params)
-        (lo, hi), = scan_g(f).brackets
-        with pytest.raises(NoRoot, match=r"did not converge in 1 iter") as exc:
-            _brent(scalar_g(f), float(lo), float(hi), maxiter=1)
-        assert exc.value.stage == "solve_p"
-        assert repr(float(lo)) in str(exc.value)
-        assert repr(float(hi)) in str(exc.value)
-
-    def test_same_signs_rejected(self, ref_params):
-        g = scalar_g(exact_f(ref_params))
-        with pytest.raises(ValueError, match="same sign"):
-            _brent(g, 0.1, 0.2)
-
-
 class TestRecoverRhoXi:
     def test_exact_recovery(self, ref_params):
         f = exact_f(ref_params)
-        rho, xi = recover_rho_xi(0.6, f)
+        rho, xi = recover_rho_xi(RootScan(p_hat=0.6, q_hat=0.4), f)
         assert rho == pytest.approx(1.0 / 1.2, abs=1e-9)
         assert xi == pytest.approx(0.625, abs=1e-9)
         assert rho > f.f1
 
     def test_symmetric_recovery(self):
         f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
-        rho, xi = recover_rho_xi(0.5, f)
+        rho, xi = recover_rho_xi(RootScan(p_hat=0.5, q_hat=0.5), f)
         assert rho == pytest.approx(1.0)
         assert xi == pytest.approx(1.0)
 
     def test_nonpositive_rate_reported(self):
         # evaluating the branch at a p far from any root can push rho
         # negative; that must surface, not be clamped
-        from dexpou.errors import NonPositiveRate
         f = FVector(f1=-5.0, f2=25.3, f3=0.0, theta_hat=1.0)
         with pytest.raises(NonPositiveRate):
-            recover_rho_xi(0.9, f)
+            recover_rho_xi(RootScan(p_hat=0.9, q_hat=0.1), f)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -414,7 +442,7 @@ class TestRecoverRhoXi:
         params = random_valid_params(rng)
         f = exact_f(params)
         scan = solve_p(f)
-        rho, xi = recover_rho_xi(scan.p_hat, f)
+        rho, xi = recover_rho_xi(scan, f)
         assert scan.p_hat * rho**2 + (1 - scan.p_hat) * xi**2 == pytest.approx(
             f.f2, rel=1e-10)
 
@@ -510,6 +538,13 @@ class TestPipeline:
                 estimate_all(SamplePath(h=H_REF, values=x * scale))
         assert exc.value.stage == "theta"
 
+    def test_underflowing_skewness_denominator_is_typed(self, ref_params):
+        # at x * 1e-120, (f2 - f1^2)^{3/2} is below float64's range
+        x = simulate_path(ref_params, 0.0, H_REF, 2000, seed=1).values
+        with pytest.raises(NoRoot, match="3/2 power underflows") as exc:
+            estimate_all(SamplePath(h=H_REF, values=x * 1e-120))
+        assert exc.value.stage == "solve_p"
+
     def test_mu1_squared_overflow_is_typed(self):
         # finite moments whose mu1^2 leaves float64's range
         m = EmpiricalMoments(mu1=1e155, mu2=1.0, mu3=0.0, mu4=1.0,
@@ -519,11 +554,32 @@ class TestPipeline:
 
     def test_g_curve_attachment(self, ref_exact_empirical):
         # the curve `gcurve` writes, scanned from the fit's f, starts at
-        # GRID_EPS and crosses zero once, in the fit's bracket, at p_hat
+        # GRID_EPS and crosses zero once, in a bracket around p_hat
         r = estimate_from_moments(ref_exact_empirical)
         curve = scan_g(r.f)
         assert curve.grid.shape == curve.g.shape
         assert curve.grid[0] == pytest.approx(GRID_EPS)
-        assert curve.brackets == (r.root.bracket,)
+        (lo, hi), = curve.brackets
+        assert lo < r.p_hat < hi
         idx = np.argmin(np.abs(curve.grid - r.p_hat))
         assert abs(curve.g[idx]) < 1e-4
+
+
+class TestScaleEquivariance:
+    """x -> 2^k x scales the k-th power sums by exact powers of two, so
+    theta and p keep their bits and rho and xi scale by 2^k."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, ref_params):
+        return [simulate_path(ref_params, 0.0, H_REF, 10_000, seed=seed)
+                for seed in range(1, 21)]
+
+    @pytest.mark.parametrize("k", [-300, -200, -120, -60, -10, 10, 60, 100,
+                                   120])
+    def test_estimates_keep_their_bits(self, paths, k):
+        for x in paths:
+            r0 = estimate_all(x)
+            r = estimate_all(SamplePath(h=H_REF, values=np.ldexp(x.values, k)))
+            assert (r.theta_hat, r.p_hat) == (r0.theta_hat, r0.p_hat)
+            assert r.rho_hat == math.ldexp(r0.rho_hat, k)
+            assert r.xi_hat == math.ldexp(r0.xi_hat, k)

@@ -68,6 +68,23 @@ null), ``covariance.method`` (always ``"model"``) and
 ``provenance.options.bandwidth``.  ``scripts/golden_drift.py`` reported
 those three fields as held by the golden file only, no other mismatch and
 zero numeric drift; the other six files stayed byte-identical.
+
+``estimate.json`` and ``experiment.csv`` were re-captured twice when the
+g-scan and its Brent refine gave way to the closed-form root.  First the
+root alone: ``scripts/golden_drift.py`` reported
+``diagnostics.root_bracket``, ``sign_change_count``,
+``g_prime_sign_constant`` and ``provenance.options.grid`` as held by the
+golden file only, and drifts of the numbers that follow ``p``: estimates
+<= 2.2e-15 (``xi``), ``covariance.A`` 2.6e-15, ``Sigma`` 8.1e-13,
+``jacobian_condition`` 2.4e-15, ``sigma_min_eigenvalue_ratio`` 2.8e-13,
+intervals <= 1.4e-13 (``theta``) and the estimates of ``experiment.csv``
+<= 2.9e-16.  Then the covariance stage in standardised units, which on
+this path (``max(rho, xi)`` in [1, 2)) halves ``rho`` and ``xi``:
+``jacobian_condition`` moved by 0.157 (it is now taken at the
+standardised point), ``Sigma`` by 2.1e-13 and the intervals by <= 3.5e-14,
+while ``A`` and the estimates stayed byte-identical; and the ``median``
+and ``iqr`` rows of ``N`` = 200 in ``experiment.csv`` gained the text
+``2 of 3 failed``.  The other five files stayed byte-identical.
 """
 
 from pathlib import Path
