@@ -55,7 +55,7 @@ def run(reps: int, n: int, seed: int, level: float) -> dict:
             covered[name] += lo <= value <= hi
         mu1 = result.moments.mu1
         standardized.append(
-            np.sqrt(cov.n) * (mu1 - truth.m1) / np.sqrt(cov.A[0, 0])
+            np.sqrt(cov.n) * (mu1 - truth.mu1) / np.sqrt(cov.A[0, 0])
         )
     ok = reps - failed
     stat = np.asarray(standardized)

@@ -15,7 +15,7 @@ from .errors import (
 )
 from .model import (
     ModelParams,
-    StationaryMoments,
+    Moments,
     analytic_moments,
     h_map,
     jacobian_h,
@@ -35,10 +35,8 @@ from .simulate import (
     simulate_path,
 )
 from .estimate import (
-    EmpiricalMoments,
     EstimationResult,
     FVector,
-    RootScan,
     compute_f,
     empirical_moments,
     estimate_all,

@@ -20,7 +20,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,12 +256,8 @@ def cmd_estimate(options: dict) -> int:
         payload["estimates"] = result.estimates_dict()
         payload["diagnostics"] = {
             "correlation_length": 1.0 / (result.theta_hat * path.h),
-            "moments": {
-                "mu1": result.moments.mu1, "mu2": result.moments.mu2,
-                "mu3": result.moments.mu3, "mu4": result.moments.mu4,
-                "n_used": result.moments.n_used, "h": result.moments.h,
-            },
-            "f": {"f1": result.f.f1, "f2": result.f.f2, "f3": result.f.f3},
+            "moments": asdict(result.moments),
+            "f": asdict(result.f),
         }
         cov = covariance_estimate(path, result)
         payload["diagnostics"]["jacobian_condition"] = cov.jacobian_condition
@@ -297,7 +293,8 @@ def cmd_experiment(options: dict) -> int:
     params.require_unit_scale()
     n_max = max(n_values)
     # Replication j keeps one stream for every N: shorter rows are prefixes of
-    # the same trajectory, a single growing observation window per seed.
+    # the same trajectory, a single growing observation window per seed.  The
+    # trajectory itself depends on n_max, so cells match only within a run.
     cells = {}
     for j in range(options["seeds"]):
         full = simulate_path(params, x0=options["x0"], h=options["h"],
@@ -347,8 +344,7 @@ def cmd_gcurve(options: dict) -> int:
         moments = empirical_moments(path)
         f = compute_f(moments, estimate_theta(moments))
     elif all(options[k] is not None for k in ("f1", "f2", "f3")):
-        f = FVector(f1=options["f1"], f2=options["f2"], f3=options["f3"],
-                    theta_hat=float("nan"))
+        f = FVector(f1=options["f1"], f2=options["f2"], f3=options["f3"])
     else:
         raise ValueError("gcurve needs either --input or all of --f1/--f2/--f3")
 

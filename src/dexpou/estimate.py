@@ -13,9 +13,10 @@ Every precondition failure raises a typed error from :mod:`dexpou.errors`;
 nothing is clamped or silently repaired.  ``(f1, f2, f3)`` are the first
 three raw moments of a two-point law (rho with probability p, -xi with
 q), whose skewness falls strictly in p: g has exactly one root, and
-:func:`solve_p` evaluates it in closed form.  The g-curve itself,
-:func:`scan_g`, is kept for inspection (``dexpou gcurve``) and as the
-tests' oracle for that root.
+:func:`solve_p` evaluates it in closed form.  An :class:`FVector` checks
+its discriminant f2 - f1^2 when it is made, so every later stage can
+trust it.  The g-curve itself, :func:`scan_g`, is kept for inspection
+(``dexpou gcurve``) and as the tests' oracle for that root.
 """
 
 from __future__ import annotations
@@ -36,13 +37,11 @@ from .errors import (
     NonPositiveVariance,
     NoRoot,
 )
-from .model import StationaryMoments, tilde_h_map
+from .model import Moments, tilde_h_map
 from .simulate import SamplePath
 
 __all__ = [
-    "EmpiricalMoments",
     "FVector",
-    "RootScan",
     "EstimationResult",
     "GScan",
     "empirical_moments",
@@ -62,46 +61,29 @@ MOMENT_CHUNK = 1 << 16    # rows per block of the moment sums
 
 
 @dataclass(frozen=True)
-class EmpiricalMoments:
-    """Sample moments mu1..mu4 over a common index set of ``n_used`` terms."""
-
-    mu1: float
-    mu2: float
-    mu3: float
-    mu4: float
-    n_used: int
-    h: float
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.mu1, self.mu2, self.mu3, self.mu4])
-
-    @classmethod
-    def from_stationary(cls, moments: StationaryMoments,
-                        n_used: int = 0) -> "EmpiricalMoments":
-        """Wrap exact analytic moments, e.g. to drive the pipeline without a
-        path (the exact-inversion oracle)."""
-        return cls(mu1=moments.m1, mu2=moments.m2, mu3=moments.m3,
-                   mu4=moments.m4, n_used=n_used, h=moments.h)
-
-
-@dataclass(frozen=True)
 class FVector:
     """Reduced statistics f1 = theta mu1, f2 = theta (mu2 - mu1^2),
-    f3 = (theta/2)(mu3 - mu2 mu1 - 2 mu1 (mu2 - mu1^2))."""
+    f3 = (theta/2)(mu3 - mu2 mu1 - 2 mu1 (mu2 - mu1^2)).
+
+    Made only with a positive ``discriminant`` f2 - f1^2, the variance of
+    the two-point law of :func:`solve_p`: raises
+    :class:`DiscriminantOverflow` when f1^2 overflows and
+    :class:`DiscriminantNonpositive` when f2 - f1^2 <= 0."""
 
     f1: float
     f2: float
     f3: float
-    theta_hat: float
 
-    @property
-    def discriminant(self) -> float:
-        """f2 - f1^2; must be > 0 for the root problem to be solvable."""
+    def __post_init__(self):
         try:
-            return self.f2 - self.f1**2
+            d = self.f2 - self.f1**2
         except OverflowError:  # a float's ** raises where numpy gives inf
             raise DiscriminantOverflow(
                 f"f1^2 overflows float64: f1 = {self.f1:.6e}") from None
+        if d <= 0:
+            raise DiscriminantNonpositive(f"f2 - f1^2 = {d:.6e} <= 0")
+        # not a field, so dataclasses.asdict gives f1, f2, f3 alone
+        object.__setattr__(self, "discriminant", d)
 
 
 @dataclass(frozen=True)
@@ -116,19 +98,9 @@ class GScan:
 
 
 @dataclass(frozen=True)
-class RootScan:
-    """The root of g(p) = 0 found by :func:`solve_p`: ``p_hat`` and
-    ``q_hat = 1 - p_hat``, each evaluated without cancellation.  g has
-    exactly one root in (0, 1), so ``sign_change_count`` is always 1."""
-
-    p_hat: float
-    q_hat: float
-    sign_change_count: int = 1
-
-
-@dataclass(frozen=True)
 class EstimationResult:
-    """Point estimates plus ``root``, the root that gave ``p_hat``."""
+    """Point estimates, with the moments and reduced statistics they were
+    solved from."""
 
     theta_hat: float
     p_hat: float
@@ -136,8 +108,7 @@ class EstimationResult:
     xi_hat: float
     eta_hat: float
     phi_hat: float
-    root: RootScan
-    moments: Optional[EmpiricalMoments] = None
+    moments: Optional[Moments] = None
     f: Optional[FVector] = None
 
     def estimates_dict(self) -> dict:
@@ -151,7 +122,7 @@ class EstimationResult:
         }
 
 
-def empirical_moments(path: SamplePath) -> EmpiricalMoments:
+def empirical_moments(path: SamplePath) -> Moments:
     """Sample moments of the path, all averaged over j = 1..n-1.
 
     The sums of (X_j, X_j^2, X_j^3, X_j X_{j+1}) are taken block by block
@@ -176,11 +147,10 @@ def empirical_moments(path: SamplePath) -> EmpiricalMoments:
         sums[3] += np.multiply(head, x[start + 1:start + 1 + b],
                                out=prod[:b]).sum()
     mu1, mu2, mu3, mu4 = (float(s) / m for s in sums)
-    return EmpiricalMoments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4,
-                            n_used=m, h=path.h)
+    return Moments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4, h=path.h, n_used=m)
 
 
-def estimate_theta(moments: EmpiricalMoments) -> float:
+def estimate_theta(moments: Moments) -> float:
     """theta = ln((mu2 - mu1^2) / (mu4 - mu1^2)) / h, from the second and
     fourth components of :func:`dexpou.model.tilde_h_map`.
 
@@ -209,47 +179,30 @@ def estimate_theta(moments: EmpiricalMoments) -> float:
     return math.log(var / autocov) / moments.h
 
 
-def compute_f(moments: EmpiricalMoments, theta_hat: float) -> FVector:
+def compute_f(moments: Moments, theta_hat: float) -> FVector:
     """Reduced statistics of the three remaining moment equations: theta_hat
     times the first three components of :func:`dexpou.model.tilde_h_map`,
     the third halved."""
     if not theta_hat > 0:
         raise ValueError(f"theta_hat must be > 0, got {theta_hat!r}")
     mu1, var, reduced, _ = tilde_h_map(moments.to_array()).tolist()
-    f = FVector(
-        f1=theta_hat * mu1,
-        f2=theta_hat * var,
-        f3=0.5 * theta_hat * reduced,
-        theta_hat=theta_hat,
-    )
-    if f.discriminant <= 0:
-        raise DiscriminantNonpositive(
-            f"f2 - f1^2 = {f.discriminant:.6e} <= 0"
-        )
-    return f
-
-
-def _g(p, f1, d, f3, sqrt):
-    """g(p) from ``+ - * /`` and one ``sqrt``: correctly rounded IEEE
-    operations only, so numpy arrays with ``np.sqrt`` and Python floats
-    with ``math.sqrt`` give the same bits.  Cubes are products because
-    ``x**3`` of a negative numpy base leaves numpy's fast power loop."""
-    q = 1.0 - p
-    s = sqrt(p * q * d)
-    a = f1 * p + s
-    b = f1 * q - s
-    return q * q * (a * a * a) + p * p * (b * b * b) - f3 * (p * p) * (q * q)
+    return FVector(f1=theta_hat * mu1, f2=theta_hat * var,
+                   f3=0.5 * theta_hat * reduced)
 
 
 def g_values(p, f: FVector) -> np.ndarray:
-    """Vectorized g over an array of p values in (0, 1)."""
+    """Vectorized g over an array of p values in (0, 1).  Cubes are
+    products because ``x**3`` of a negative numpy base leaves numpy's fast
+    power loop."""
     p = np.asarray(p, dtype=float)
-    d = f.discriminant
-    if d < 0:
-        raise ValueError(f"f2 - f1^2 = {d:.6e} < 0")
     if np.any(p <= 0.0) or np.any(p >= 1.0):
         raise ValueError("p must lie strictly inside (0, 1)")
-    return _g(p, f.f1, d, f.f3, np.sqrt)
+    q = 1.0 - p
+    s = np.sqrt(p * q * f.discriminant)
+    a = f.f1 * p + s
+    b = f.f1 * q - s
+    return (q * q * (a * a * a) + p * p * (b * b * b)
+            - f.f3 * (p * p) * (q * q))
 
 
 def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
@@ -257,10 +210,6 @@ def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
     its strict sign changes and exact zeros."""
     if grid_size < 3:
         raise ValueError(f"grid_size must be >= 3, got {grid_size!r}")
-    if f.discriminant <= 0:
-        raise DiscriminantNonpositive(
-            f"f2 - f1^2 = {f.discriminant:.6e} <= 0"
-        )
     grid = np.linspace(GRID_EPS, 1.0 - GRID_EPS, grid_size)
     gv = g_values(grid, f)
     signs = np.sign(gv)
@@ -270,8 +219,8 @@ def scan_g(f: FVector, grid_size: int = DEFAULT_GRID_SIZE) -> GScan:
     return GScan(grid=grid, g=gv, brackets=tuple(brackets))
 
 
-def solve_p(f: FVector) -> RootScan:
-    """The root of g(p) = 0, in closed form.
+def solve_p(f: FVector) -> tuple:
+    """The root of g(p) = 0, in closed form, as ``(p_hat, q_hat)``.
 
     ``(f1, f2, f3)`` are the first three raw moments of the two-point law
     that puts mass p on rho and q on -xi.  Its variance is d = f2 - f1^2,
@@ -282,7 +231,8 @@ def solve_p(f: FVector) -> RootScan:
         p = (1 - gamma / r) / 2,   q = (1 + gamma / r) / 2,
 
     with r = sqrt(gamma^2 + 4).  The smaller of the two is taken as
-    ``2 / (r (r + |gamma|))``, so neither loses digits to cancellation.
+    ``2 / (r (r + |gamma|))``, so neither loses digits to cancellation;
+    ``q_hat`` keeps the digits that ``1 - p_hat`` loses where p is near 1.
     ``d sqrt(d)`` scales exactly where ``d**1.5`` need not, so p keeps its
     bits when the path is scaled by a power of two.  A root outside
     ``[GRID_EPS, 1 - GRID_EPS]``, the estimator's domain and the span of
@@ -290,8 +240,6 @@ def solve_p(f: FVector) -> RootScan:
     underflows to 0.
     """
     d = f.discriminant
-    if d <= 0:
-        raise DiscriminantNonpositive(f"f2 - f1^2 = {d:.6e} <= 0")
     d3 = d * math.sqrt(d)
     if d3 == 0.0:
         raise NoRoot(f"f2 - f1^2 = {d:.6e}: its 3/2 power underflows, so "
@@ -305,25 +253,22 @@ def solve_p(f: FVector) -> RootScan:
     if not GRID_EPS <= p <= 1.0 - GRID_EPS:
         raise NoRoot(f"the root p = {p!r} of g lies outside "
                      f"[{GRID_EPS}, 1 - {GRID_EPS}]")
-    return RootScan(p_hat=p, q_hat=q)
+    return p, q
 
 
-def recover_rho_xi(root: RootScan, f: FVector) -> tuple:
+def recover_rho_xi(p_hat: float, q_hat: float, f: FVector) -> tuple:
     """The two atoms of the law of :func:`solve_p`,
 
         rho = f1 + sqrt(d q / p),   xi = sqrt(d p / q) - f1,
 
-    with d = f2 - f1^2 and ``(p, q)`` the root's ``(p_hat, q_hat)``;
-    ``q_hat`` keeps the digits that ``1 - p_hat`` loses where p is near 1.
+    with d = f2 - f1^2 and ``(p, q)`` the root ``(p_hat, q_hat)``.
     The product of the atoms, -rho xi, is (f1 f3 - f2^2) / d, so at the
     root both rates are positive exactly when f1 f3 < f2^2; otherwise
     :class:`NonPositiveRate` is raised."""
-    p_hat, q_hat = root.p_hat, root.q_hat
     if not (0.0 < p_hat < 1.0 and 0.0 < q_hat < 1.0):
-        raise ValueError(f"p_hat and q_hat must be in (0, 1), got {root!r}")
+        raise ValueError(f"p_hat and q_hat must be in (0, 1), got "
+                         f"{(p_hat, q_hat)!r}")
     d = f.discriminant
-    if d <= 0:
-        raise DiscriminantNonpositive(f"f2 - f1^2 = {d:.6e} <= 0")
     rho_hat = f.f1 + math.sqrt(d * q_hat / p_hat)
     xi_hat = math.sqrt(d * p_hat / q_hat) - f.f1
     if not (rho_hat > 0 and xi_hat > 0):
@@ -335,16 +280,16 @@ def recover_rho_xi(root: RootScan, f: FVector) -> tuple:
     return rho_hat, xi_hat
 
 
-def estimate_from_moments(moments: EmpiricalMoments) -> EstimationResult:
+def estimate_from_moments(moments: Moments) -> EstimationResult:
     """Run the calibration pipeline on a moment vector (empirical or exact)."""
     theta_hat = estimate_theta(moments)
     f = compute_f(moments, theta_hat)
-    root = solve_p(f)
-    rho_hat, xi_hat = recover_rho_xi(root, f)
-    return EstimationResult(theta_hat=theta_hat, p_hat=root.p_hat,
+    p_hat, q_hat = solve_p(f)
+    rho_hat, xi_hat = recover_rho_xi(p_hat, q_hat, f)
+    return EstimationResult(theta_hat=theta_hat, p_hat=p_hat,
                             rho_hat=rho_hat, xi_hat=xi_hat,
                             eta_hat=1.0 / rho_hat, phi_hat=1.0 / xi_hat,
-                            root=root, moments=moments, f=f)
+                            moments=moments, f=f)
 
 
 def estimate_all(path: SamplePath) -> EstimationResult:

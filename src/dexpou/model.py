@@ -13,7 +13,8 @@ lag, the first stationary moments and cumulants, the two parameter maps
 (``h_map`` / ``tilde_h_map``) whose equality defines the moment calibration,
 and the lagged and long-run covariances of the four observables the moments
 average.  These are the ground-truth oracles the rest of the package is
-tested against.
+tested against.  :class:`Moments` holds the four moments of the
+calibration, exact here and sampled in :mod:`dexpou.estimate`.
 
 All complex powers use the principal logarithm.  Every base that appears has
 real part 1 for real arguments, so no branch cut is ever crossed and the
@@ -29,7 +30,7 @@ import numpy as np
 
 __all__ = [
     "ModelParams",
-    "StationaryMoments",
+    "Moments",
     "stationary_char_fn",
     "joint_char_fn",
     "analytic_moments",
@@ -95,18 +96,22 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class StationaryMoments:
-    """First stationary moments: m1 = E[X], m2 = E[X^2], m3 = E[X^3],
-    m4 = E[X_0 X_h] at observation lag ``h``."""
+class Moments:
+    """The four moments of the calibration at observation lag ``h``:
+    mu1 = E[X], mu2 = E[X^2], mu3 = E[X^3] and mu4 = E[X_0 X_h].  Exact
+    stationary moments (:func:`analytic_moments`) have ``n_used = 0``;
+    sample moments (:func:`dexpou.estimate.empirical_moments`) are averages
+    over ``n_used`` terms."""
 
-    m1: float
-    m2: float
-    m3: float
-    m4: float
+    mu1: float
+    mu2: float
+    mu3: float
+    mu4: float
     h: float
+    n_used: int = 0
 
     def to_array(self) -> np.ndarray:
-        return np.array([self.m1, self.m2, self.m3, self.m4])
+        return np.array([self.mu1, self.mu2, self.mu3, self.mu4])
 
 
 def stationary_char_fn(params: ModelParams, u):
@@ -153,20 +158,20 @@ def joint_char_fn(params: ModelParams, u, v, h: float):
     return complex(val) if val.ndim == 0 else val
 
 
-def analytic_moments(params: ModelParams, h: float) -> StationaryMoments:
+def analytic_moments(params: ModelParams, h: float) -> Moments:
     """Closed-form stationary moments (first three plus the lag-h product).
 
     Derived from the cumulants of the stationary law, ``lam`` times those of
-    :func:`stationary_cumulants`: m1..m3 follow from kappa_1..kappa_3 by
-    the moment-cumulant recursion, and ``m4 = e^{-theta h} kappa_2 + m1^2``.
+    :func:`stationary_cumulants`: mu1..mu3 follow from kappa_1..kappa_3 by
+    the moment-cumulant recursion, and ``mu4 = e^{-theta h} kappa_2 + mu1^2``.
     """
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h!r}")
     kappa = (params.lam * stationary_cumulants(params.theta, params.rho,
                                                params.xi, params.p)[:3]).tolist()
-    _, m1, m2, m3 = _moments_from_cumulants(kappa).tolist()
-    m4 = math.exp(-params.theta * h) * kappa[1] + m1**2
-    return StationaryMoments(m1=m1, m2=m2, m3=m3, m4=m4, h=h)
+    _, mu1, mu2, mu3 = _moments_from_cumulants(kappa).tolist()
+    mu4 = math.exp(-params.theta * h) * kappa[1] + mu1**2
+    return Moments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4, h=h)
 
 
 def _validate_point(theta: float, rho: float, xi: float, p: float) -> None:

@@ -76,9 +76,6 @@ class SamplePath:
             raise ValueError(f"h must be > 0, got {self.h!r}")
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
 
-    def __len__(self) -> int:
-        return len(self.values)
-
     @property
     def times(self) -> np.ndarray:
         """Observation times t_j = j * h, j = 1..n."""
@@ -97,9 +94,10 @@ def default_burn_in(theta: float, h: float) -> int:
 
 
 def draw_transition_jump_sum(params: ModelParams, h: float,
-                             rng: np.random.Generator, size=None):
-    """Draw the jump contribution of one observation step (vectorized over
-    ``size`` independent steps).
+                             rng: np.random.Generator,
+                             size: int) -> np.ndarray:
+    """Draw the jump contributions of ``size`` independent observation
+    steps.
 
     Per step: N ~ Poisson(lam h); each of the N jumps draws its own
     U ~ Uniform[0,1] and then a two-sided exponential with rates
@@ -107,8 +105,7 @@ def draw_transition_jump_sum(params: ModelParams, h: float,
     """
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h!r}")
-    n = 1 if size is None else int(size)
-    counts = rng.poisson(params.lam * h, n)
+    counts = rng.poisson(params.lam * h, size)
     total = int(counts.sum())
     scale = np.exp(params.theta * h * rng.random(total))
     # two-sided exponential draws at rates (eta, phi) * scale, up with
@@ -121,9 +118,8 @@ def draw_transition_jump_sum(params: ModelParams, h: float,
     step_of_jump = np.repeat(hit, counts[hit])
     del counts  # freed before the sums: one path-sized array at a time
     # float64 even when no jump lands: bincount of no weights is int64
-    sums = np.bincount(step_of_jump, weights=jumps,
-                       minlength=n).astype(np.float64, copy=False)
-    return float(sums[0]) if size is None else sums
+    return np.bincount(step_of_jump, weights=jumps,
+                       minlength=size).astype(np.float64, copy=False)
 
 
 @functools.lru_cache(maxsize=16)

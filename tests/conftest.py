@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from dexpou import ModelParams, analytic_moments
-from dexpou.estimate import EmpiricalMoments
 
 H_REF = 0.02
 
@@ -16,12 +15,6 @@ def ref_params():
 @pytest.fixture(scope="session")
 def ref_moments(ref_params):
     return analytic_moments(ref_params, H_REF)
-
-
-@pytest.fixture(scope="session")
-def ref_exact_empirical(ref_moments):
-    """Exact analytic moments wrapped for the estimation pipeline."""
-    return EmpiricalMoments.from_stationary(ref_moments, n_used=0)
 
 
 def random_valid_params(rng: np.random.Generator) -> ModelParams:

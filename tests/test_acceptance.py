@@ -12,7 +12,6 @@ import numpy as np
 from scipy.stats import normaltest
 
 from dexpou import (
-    EmpiricalMoments,
     ModelParams,
     analytic_moments,
     confidence_intervals,
@@ -31,6 +30,7 @@ from dexpou import (
 )
 from dexpou.cli import main as cli_main
 from dexpou.errors import EstimationError, NoRoot
+from dexpou.estimate import scan_g
 from dexpou.model import PARAM_ORDER
 
 from conftest import H_REF, random_valid_params
@@ -50,8 +50,7 @@ def test_criterion_1_exact_inversion():
     for _ in range(200):
         params = random_valid_params(rng)
         h = rng.uniform(0.005, 0.5) / params.theta
-        moments = EmpiricalMoments.from_stationary(analytic_moments(params, h))
-        r = estimate_from_moments(moments)
+        r = estimate_from_moments(analytic_moments(params, h))
         worst = max(worst,
                     abs(r.theta_hat - params.theta), abs(r.p_hat - params.p),
                     abs(r.eta_hat - params.eta), abs(r.phi_hat - params.phi))
@@ -69,8 +68,8 @@ def test_criterion_2_simulator_law(ref_params, ref_moments):
     rng = make_rng(20240601)
     draws = draw_transition_jump_sum(ref_params, H_REF, rng, size=n)
     decay = math.exp(-2.0 * H_REF)
-    mean_expect = ref_moments.m1 * (1.0 - decay)
-    var_expect = (ref_moments.m2 - ref_moments.m1**2) * (1.0 - decay**2)
+    mean_expect = ref_moments.mu1 * (1.0 - decay)
+    var_expect = (ref_moments.mu2 - ref_moments.mu1**2) * (1.0 - decay**2)
     se_mean = draws.std() / math.sqrt(n)
     mean_dev = abs(draws.mean() - mean_expect)
     centered = (draws - draws.mean()) ** 2
@@ -145,7 +144,7 @@ def _coverage(params, h, n, reps, seed):
     count of runs that failed or got no theta interval, and the
     standardized first-moment statistics."""
     truth = {name: getattr(params, name) for name in PARAM_ORDER}
-    m1 = analytic_moments(params, h).m1
+    m1 = analytic_moments(params, h).mu1
     covered = dict.fromkeys(PARAM_ORDER, 0)
     failed = 0
     standardized = []
@@ -194,9 +193,10 @@ def test_criterion_6_clt_coverage(ref_params):
 
 def test_criterion_7_root_solver(ref_params):
     f = exact_f(ref_params)
-    scan = solve_p(f)
-    unique = scan.sign_change_count == 1
-    close = abs(scan.p_hat - 0.6) <= 1e-8
+    p_hat, _ = solve_p(f)
+    sign_changes = len(scan_g(f).brackets)
+    unique = sign_changes == 1
+    close = abs(p_hat - 0.6) <= 1e-8
     no_root_ok = False
     try:
         solve_p(no_root_f(ref_params))
@@ -206,8 +206,8 @@ def test_criterion_7_root_solver(ref_params):
         no_root_ok = False
     ok = unique and close and no_root_ok
     report(7, "root-solver guarantees", ok,
-           f"sign changes {scan.sign_change_count} (= 1), |p - 0.6| = "
-           f"{abs(scan.p_hat - 0.6):.2e} (tol 1e-8), NoRoot raised: {no_root_ok}")
+           f"sign changes {sign_changes} (= 1), |p - 0.6| = "
+           f"{abs(p_hat - 0.6):.2e} (tol 1e-8), NoRoot raised: {no_root_ok}")
     assert ok
 
 

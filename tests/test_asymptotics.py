@@ -258,10 +258,9 @@ class TestCovarianceScaleEquivariance:
 
 
 def _fake_result(**kw):
-    from dexpou.estimate import EstimationResult, RootScan
-    root = RootScan(p_hat=0.6, q_hat=0.4)
+    from dexpou.estimate import EstimationResult
     base = dict(theta_hat=2.0, p_hat=0.6, rho_hat=1 / 1.2, xi_hat=0.625,
-                eta_hat=1.2, phi_hat=1.6, root=root)
+                eta_hat=1.2, phi_hat=1.6)
     base.update(kw)
     return EstimationResult(**base)
 

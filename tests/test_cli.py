@@ -13,7 +13,7 @@ import pytest
 import dexpou
 from dexpou.cli import main
 from dexpou.errors import NoRoot
-from dexpou.estimate import solve_p
+from dexpou.estimate import scan_g, solve_p
 
 from test_estimate import exact_f, no_root_f
 
@@ -393,8 +393,8 @@ class TestGcurveCommand:
         assert "sign_change_count=" in capsys.readouterr().out
 
     def test_count_matches_solve_p(self, tmp_path, capsys, ref_params):
-        # gcurve reports the count of the scan solve_p refines: 0 where
-        # solve_p raises NoRoot, 1 where it finds the root
+        # gcurve reports the g-curve's sign changes: 0 where solve_p
+        # raises NoRoot, 1 where it finds the root
         def count(f):
             assert run(["gcurve", "--f1", f.f1, "--f2", f.f2, "--f3", f.f3,
                         "--out", tmp_path / "g.csv"]) == 0
@@ -403,8 +403,10 @@ class TestGcurveCommand:
         assert count(no_root_f(ref_params)) == "sign_change_count=0"
         with pytest.raises(NoRoot):
             solve_p(no_root_f(ref_params))
-        assert count(exact_f(ref_params)) == "sign_change_count=1"
-        assert solve_p(exact_f(ref_params)).sign_change_count == 1
+        f = exact_f(ref_params)
+        assert count(f) == "sign_change_count=1"
+        solve_p(f)
+        assert len(scan_g(f).brackets) == 1
 
     def test_bad_grid_exits_2(self, tmp_path, capsys):
         assert run(["gcurve", "--f1", self.F1, "--f2", self.F2, "--f3", self.F3,

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dexpou import (
-    EmpiricalMoments,
     FVector,
     ModelParams,
-    RootScan,
+    Moments,
     SamplePath,
     analytic_moments,
     compute_f,
@@ -40,7 +39,6 @@ from dexpou.errors import (
 from dexpou.estimate import (
     GRID_EPS,
     MOMENT_CHUNK,
-    _g,
     g_values,
     scan_g,
 )
@@ -51,7 +49,7 @@ from oracles import empirical_char_fn, empirical_joint_char_fn
 
 def exact_f(params: ModelParams) -> FVector:
     """Reduced statistics implied by exact analytic moments (lam = sigma = 1)."""
-    moments = EmpiricalMoments.from_stationary(analytic_moments(params, H_REF))
+    moments = analytic_moments(params, H_REF)
     return compute_f(moments, estimate_theta(moments))
 
 
@@ -104,7 +102,7 @@ class TestEmpiricalMoments:
         path = simulate_path(ref_params, 0.0, H_REF, 100_000, seed=2)
         m = empirical_moments(path)
         decay = math.exp(-2.0 * H_REF)
-        var = ref_moments.m2 - ref_moments.m1**2
+        var = ref_moments.mu2 - ref_moments.mu1**2
         long_run = var * (1.0 + 2.0 * decay / (1.0 - decay))
         assert abs(m.mu1 - 0.125) < 4.0 * math.sqrt(long_run / m.n_used)
 
@@ -127,21 +125,21 @@ class TestEmpiricalCharFn:
 
 
 class TestEstimateTheta:
-    def test_exact_moments_recover_theta(self, ref_exact_empirical):
-        assert estimate_theta(ref_exact_empirical) == pytest.approx(2.0, abs=1e-10)
+    def test_exact_moments_recover_theta(self, ref_moments):
+        assert estimate_theta(ref_moments) == pytest.approx(2.0, abs=1e-10)
 
     def test_zero_variance_rejected(self):
-        m = EmpiricalMoments(mu1=1.0, mu2=1.0, mu3=1.0, mu4=1.0, n_used=10, h=H_REF)
+        m = Moments(mu1=1.0, mu2=1.0, mu3=1.0, mu4=1.0, h=H_REF, n_used=10)
         with pytest.raises(NonPositiveVariance):
             estimate_theta(m)
 
     def test_nonpositive_autocov_rejected(self):
-        m = EmpiricalMoments(mu1=0.0, mu2=1.0, mu3=0.0, mu4=-0.1, n_used=10, h=H_REF)
+        m = Moments(mu1=0.0, mu2=1.0, mu3=0.0, mu4=-0.1, h=H_REF, n_used=10)
         with pytest.raises(NonPositiveAutocov):
             estimate_theta(m)
 
     def test_equal_variance_and_autocov_rejected(self):
-        m = EmpiricalMoments(mu1=0.0, mu2=1.0, mu3=0.0, mu4=1.0, n_used=10, h=H_REF)
+        m = Moments(mu1=0.0, mu2=1.0, mu3=0.0, mu4=1.0, h=H_REF, n_used=10)
         with pytest.raises(NonPositiveTheta):
             estimate_theta(m)
 
@@ -179,11 +177,21 @@ class TestComputeF:
 
     def test_degenerate_discriminant_rejected(self):
         # one-sided jumps make f2 = f1^2 unreachable, so force it by hand
-        m = EmpiricalMoments(mu1=1.0, mu2=1.5, mu3=0.0, mu4=1.2, n_used=10, h=1.0)
+        m = Moments(mu1=1.0, mu2=1.5, mu3=0.0, mu4=1.2, h=1.0, n_used=10)
         theta = estimate_theta(m)
         # f2 - f1^2 = theta*0.5 - theta^2 < 0 for this theta
         with pytest.raises(DiscriminantNonpositive):
             compute_f(m, theta)
+
+    @pytest.mark.parametrize("f1, error", [
+        (1.0, DiscriminantNonpositive),   # f2 - f1^2 = 0
+        (1e155, DiscriminantOverflow),    # f1^2 overflows
+    ], ids=["zero", "overflow"])
+    def test_fvector_checks_discriminant_on_construction(self, f1, error):
+        # f2 - f1^2 < 0 is the bad FVector of TestGFunction.test_domain_errors
+        with pytest.raises(error) as exc:
+            FVector(f1=f1, f2=1.0, f3=0.0)
+        assert exc.value.stage == "f"
 
 
 class TestGFunction:
@@ -192,7 +200,7 @@ class TestGFunction:
         assert abs(float(g_values(0.6, f))) < 1e-12
 
     def test_symmetric_root_at_half(self):
-        f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
+        f = FVector(f1=0.0, f2=1.0, f3=0.0)
         assert float(g_values(0.5, f)) == 0.0
 
     def test_finite_near_endpoints(self, ref_params):
@@ -204,9 +212,10 @@ class TestGFunction:
         f = exact_f(ref_params)
         with pytest.raises(ValueError):
             g_values(0.0, f)
-        bad = FVector(f1=2.0, f2=1.0, f3=0.0, theta_hat=1.0)
-        with pytest.raises(ValueError):
-            g_values(0.5, bad)
+        # an f without a real g is refused before g_values can see it
+        with pytest.raises(DiscriminantNonpositive) as exc:
+            FVector(f1=2.0, f2=1.0, f3=0.0)
+        assert exc.value.stage == "f"
 
 
 def no_root_f(params: ModelParams) -> FVector:
@@ -218,7 +227,7 @@ def no_root_f(params: ModelParams) -> FVector:
     s = np.sqrt(grid * q * f.discriminant)
     first_two = q**2 * (f.f1 * grid + s) ** 3 + grid**2 * (f.f1 * q - s) ** 3
     f3_bad = float(np.max(first_two / (grid**2 * q**2))) * 1.5 + 1.0
-    return FVector(f1=f.f1, f2=f.f2, f3=f3_bad, theta_hat=f.theta_hat)
+    return FVector(f1=f.f1, f2=f.f2, f3=f3_bad)
 
 
 def arbitrary_fs(count: int):
@@ -230,25 +239,25 @@ def arbitrary_fs(count: int):
         f1 = rng.uniform(-5.0, 5.0)
         f2 = f1 * f1 + rng.uniform(0.01, 5.0)
         f3 = rng.uniform(-20.0, 20.0)
-        fs.append(FVector(f1=f1, f2=f2, f3=f3, theta_hat=1.0))
+        fs.append(FVector(f1=f1, f2=f2, f3=f3))
     return fs
 
 
 class TestSolveP:
     def test_exact_f_unique_root(self, ref_params):
         f = exact_f(ref_params)
-        scan = solve_p(f)
-        assert scan.sign_change_count == 1
-        assert scan.p_hat == pytest.approx(0.6, abs=1e-8)
-        assert scan.p_hat + scan.q_hat == pytest.approx(1.0, abs=1e-15)
-        assert abs(float(g_values(scan.p_hat, f))) <= 1e-12
-        (lo, hi), = scan_g(f).brackets
-        assert lo < scan.p_hat < hi
+        p_hat, q_hat = solve_p(f)
+        brackets = scan_g(f).brackets
+        assert len(brackets) == 1
+        assert p_hat == pytest.approx(0.6, abs=1e-8)
+        assert p_hat + q_hat == pytest.approx(1.0, abs=1e-15)
+        assert abs(float(g_values(p_hat, f))) <= 1e-12
+        (lo, hi), = brackets
+        assert lo < p_hat < hi
 
     def test_symmetric_root(self):
-        f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
-        scan = solve_p(f)
-        assert scan.p_hat == pytest.approx(0.5, abs=1e-10)
+        p_hat, _ = solve_p(FVector(f1=0.0, f2=1.0, f3=0.0))
+        assert p_hat == pytest.approx(0.5, abs=1e-10)
 
     def test_no_root_raises(self, ref_params):
         with pytest.raises(NoRoot):
@@ -262,7 +271,8 @@ class TestSolveP:
         outcomes = {"root": 0, "noroot": 0}
         for f in arbitrary_fs(500):
             try:
-                assert solve_p(f).sign_change_count == 1
+                solve_p(f)
+                assert len(scan_g(f).brackets) == 1
                 outcomes["root"] += 1
             except NoRoot:
                 outcomes["noroot"] += 1
@@ -312,7 +322,7 @@ class TestGCurveOracle:
                 outcomes["noroot"] += 1
                 continue
             (lo, hi), = brackets
-            assert lo <= solve_p(f).p_hat <= hi, f
+            assert lo <= solve_p(f)[0] <= hi, f
             outcomes["root"] += 1
         assert outcomes["noroot"] >= 2 and outcomes["root"] >= 500
 
@@ -320,12 +330,12 @@ class TestGCurveOracle:
         failed = 0
         for f in fs:
             try:
-                root = solve_p(f)
+                p_hat, q_hat = solve_p(f)
             except NoRoot:
                 continue
             same_sign = f.f1 * f.f3 >= f.f2 * f.f2
             try:
-                recover_rho_xi(root, f)
+                recover_rho_xi(p_hat, q_hat, f)
             except NonPositiveRate as exc:
                 assert same_sign, f
                 assert "f1 f3" in str(exc)
@@ -349,22 +359,17 @@ class TestClosedFormAccuracy:
                 exact = {"p": p, "rho": f1 + mpmath.sqrt(d * (1 - p) / p),
                          "xi": mpmath.sqrt(d * p / (1 - p)) - f1}
                 try:
-                    root = solve_p(f)
-                    rho, xi = recover_rho_xi(root, f)
+                    p_hat, q_hat = solve_p(f)
+                    rho, xi = recover_rho_xi(p_hat, q_hat, f)
                 except EstimationError:
                     continue
-                for name, value in (("p", root.p_hat), ("rho", rho),
+                for name, value in (("p", p_hat), ("rho", rho),
                                     ("xi", xi)):
                     errors[name].append(float(
                         abs(value - exact[name]) / abs(exact[name])))
         assert len(errors["p"]) >= 100
         worst = {name: max(errs) for name, errs in errors.items()}
         assert all(e <= 1e-13 for e in worst.values()), worst
-
-
-def scalar_g(f: FVector):
-    """g on Python floats, as the root refine evaluates it."""
-    return lambda p: _g(p, f.f1, f.discriminant, f.f3, math.sqrt)
 
 
 def simulated_fs(n: int, reps: int):
@@ -387,19 +392,10 @@ class TestGKernel:
     def fs(self, ref_params):
         rng = np.random.default_rng(99)
         return ([exact_f(ref_params),
-                 FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0),
+                 FVector(f1=0.0, f2=1.0, f3=0.0),
                  no_root_f(ref_params)]
                 + [exact_f(random_valid_params(rng)) for _ in range(5)]
                 + simulated_fs(300, 3))
-
-    def test_scalar_kernel_matches_grid_bits(self, fs):
-        grid = np.linspace(GRID_EPS, 1.0 - GRID_EPS, 2001)
-        for f in fs:
-            g = scalar_g(f)
-            scalar = np.array([g(p) for p in grid.tolist()])
-            assert np.array_equal(scalar, g_values(grid, f))
-            assert [float(g_values(p, f)) for p in grid[::100].tolist()] == \
-                scalar[::100].tolist()
 
     def test_grid_values_match_power_formula(self, fs):
         # the cubes as products change only the rounding of g
@@ -416,23 +412,23 @@ class TestGKernel:
 class TestRecoverRhoXi:
     def test_exact_recovery(self, ref_params):
         f = exact_f(ref_params)
-        rho, xi = recover_rho_xi(RootScan(p_hat=0.6, q_hat=0.4), f)
+        rho, xi = recover_rho_xi(0.6, 0.4, f)
         assert rho == pytest.approx(1.0 / 1.2, abs=1e-9)
         assert xi == pytest.approx(0.625, abs=1e-9)
         assert rho > f.f1
 
     def test_symmetric_recovery(self):
-        f = FVector(f1=0.0, f2=1.0, f3=0.0, theta_hat=1.0)
-        rho, xi = recover_rho_xi(RootScan(p_hat=0.5, q_hat=0.5), f)
+        f = FVector(f1=0.0, f2=1.0, f3=0.0)
+        rho, xi = recover_rho_xi(0.5, 0.5, f)
         assert rho == pytest.approx(1.0)
         assert xi == pytest.approx(1.0)
 
     def test_nonpositive_rate_reported(self):
         # evaluating the branch at a p far from any root can push rho
         # negative; that must surface, not be clamped
-        f = FVector(f1=-5.0, f2=25.3, f3=0.0, theta_hat=1.0)
+        f = FVector(f1=-5.0, f2=25.3, f3=0.0)
         with pytest.raises(NonPositiveRate):
-            recover_rho_xi(RootScan(p_hat=0.9, q_hat=0.1), f)
+            recover_rho_xi(0.9, 0.1, f)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
@@ -441,15 +437,15 @@ class TestRecoverRhoXi:
         rng = np.random.default_rng(draw)
         params = random_valid_params(rng)
         f = exact_f(params)
-        scan = solve_p(f)
-        rho, xi = recover_rho_xi(scan, f)
-        assert scan.p_hat * rho**2 + (1 - scan.p_hat) * xi**2 == pytest.approx(
+        p_hat, q_hat = solve_p(f)
+        rho, xi = recover_rho_xi(p_hat, q_hat, f)
+        assert p_hat * rho**2 + (1 - p_hat) * xi**2 == pytest.approx(
             f.f2, rel=1e-10)
 
 
 class TestPipeline:
-    def test_exact_moments_roundtrip(self, ref_params, ref_exact_empirical):
-        r = estimate_from_moments(ref_exact_empirical)
+    def test_exact_moments_roundtrip(self, ref_params, ref_moments):
+        r = estimate_from_moments(ref_moments)
         assert r.theta_hat == pytest.approx(2.0, abs=1e-8)
         assert r.p_hat == pytest.approx(0.6, abs=1e-8)
         assert r.eta_hat == pytest.approx(1.2, abs=1e-8)
@@ -461,8 +457,7 @@ class TestPipeline:
         for _ in range(50):
             params = random_valid_params(rng)
             h = rng.uniform(0.005, 0.5) / params.theta
-            moments = EmpiricalMoments.from_stationary(analytic_moments(params, h))
-            r = estimate_from_moments(moments)
+            r = estimate_from_moments(analytic_moments(params, h))
             assert r.theta_hat == pytest.approx(params.theta, abs=1e-8)
             assert r.p_hat == pytest.approx(params.p, abs=1e-8)
             assert r.eta_hat == pytest.approx(params.eta, abs=1e-8)
@@ -475,7 +470,7 @@ class TestPipeline:
         assert 0.8 < r.eta_hat < 1.8
         assert 1.0 < r.phi_hat < 2.6
         assert 1.5 < r.theta_hat < 2.5
-        assert r.root.sign_change_count == 1
+        assert len(scan_g(r.f).brackets) == 1
 
     def test_stochastic_consistency(self, ref_params):
         # median absolute error over 20 seeds shrinks through decade jumps
@@ -547,15 +542,15 @@ class TestPipeline:
 
     def test_mu1_squared_overflow_is_typed(self):
         # finite moments whose mu1^2 leaves float64's range
-        m = EmpiricalMoments(mu1=1e155, mu2=1.0, mu3=0.0, mu4=1.0,
-                             n_used=10, h=H_REF)
+        m = Moments(mu1=1e155, mu2=1.0, mu3=0.0, mu4=1.0, h=H_REF,
+                    n_used=10)
         with pytest.raises(MomentOverflow, match=r"mu1\^2 overflows"):
             estimate_theta(m)
 
-    def test_g_curve_attachment(self, ref_exact_empirical):
+    def test_g_curve_attachment(self, ref_moments):
         # the curve `gcurve` writes, scanned from the fit's f, starts at
         # GRID_EPS and crosses zero once, in a bracket around p_hat
-        r = estimate_from_moments(ref_exact_empirical)
+        r = estimate_from_moments(ref_moments)
         curve = scan_g(r.f)
         assert curve.grid.shape == curve.g.shape
         assert curve.grid[0] == pytest.approx(GRID_EPS)

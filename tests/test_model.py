@@ -101,9 +101,9 @@ class TestJointCharFn:
 
 class TestAnalyticMoments:
     def test_reference_values(self, ref_moments):
-        assert ref_moments.m1 == pytest.approx(M1_EXACT, abs=1e-15)
-        assert ref_moments.m2 == pytest.approx(M2_EXACT, abs=1e-15)
-        assert ref_moments.m4 == pytest.approx(M4_EXACT, abs=1e-15)
+        assert ref_moments.mu1 == pytest.approx(M1_EXACT, abs=1e-15)
+        assert ref_moments.mu2 == pytest.approx(M2_EXACT, abs=1e-15)
+        assert ref_moments.mu4 == pytest.approx(M4_EXACT, abs=1e-15)
 
     def test_against_cf_derivatives(self, ref_params, ref_moments):
         # independent oracle: numerical differentiation of the CFs at 0
@@ -114,29 +114,29 @@ class TestAnalyticMoments:
         jf = lambda u, v: joint_char_fn(ref_params, u, v, H_REF)
         d11 = (jf(eps, eps) - jf(eps, -eps) - jf(-eps, eps)
                + jf(-eps, -eps)) / (4.0 * eps**2)
-        assert (-d2).real == pytest.approx(ref_moments.m2, abs=1e-6)
-        assert (1j * d3).real == pytest.approx(ref_moments.m3, abs=1e-5)
-        assert (-d11).real == pytest.approx(ref_moments.m4, abs=1e-6)
+        assert (-d2).real == pytest.approx(ref_moments.mu2, abs=1e-6)
+        assert (1j * d3).real == pytest.approx(ref_moments.mu3, abs=1e-5)
+        assert (-d11).real == pytest.approx(ref_moments.mu4, abs=1e-6)
 
     def test_symmetric_case_odd_moments_vanish(self):
         params = ModelParams(theta=1.7, eta=2.5, phi=2.5, p=0.5)
         m = analytic_moments(params, 0.1)
-        assert m.m1 == pytest.approx(0.0, abs=1e-15)
-        assert m.m3 == pytest.approx(0.0, abs=1e-15)
+        assert m.mu1 == pytest.approx(0.0, abs=1e-15)
+        assert m.mu3 == pytest.approx(0.0, abs=1e-15)
 
     @given(params=valid_params, h=st.floats(0.005, 0.5))
     @settings(max_examples=60, deadline=None)
     def test_autocovariance_decay_identity(self, params, h):
         m = analytic_moments(params, h)
-        lhs = m.m4 - m.m1**2
-        rhs = math.exp(-params.theta * h) * (m.m2 - m.m1**2)
+        lhs = m.mu4 - m.mu1**2
+        rhs = math.exp(-params.theta * h) * (m.mu2 - m.mu1**2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     @given(params=valid_params)
     @settings(max_examples=60, deadline=None)
     def test_variance_positive(self, params):
         m = analytic_moments(params, 0.05)
-        assert m.m2 - m.m1**2 > 0
+        assert m.mu2 - m.mu1**2 > 0
 
 
 class TestStationaryCumulants:
@@ -145,9 +145,9 @@ class TestStationaryCumulants:
     def test_first_three_match_analytic_moments(self, params):
         m = analytic_moments(params, 0.05)
         k = stationary_cumulants(params.theta, params.rho, params.xi, params.p)
-        assert k[0] == pytest.approx(m.m1, rel=1e-12, abs=1e-14)
-        assert k[1] == pytest.approx(m.m2 - m.m1**2, rel=1e-12)
-        assert k[2] == pytest.approx(m.m3 - 3 * m.m1 * m.m2 + 2 * m.m1**3,
+        assert k[0] == pytest.approx(m.mu1, rel=1e-12, abs=1e-14)
+        assert k[1] == pytest.approx(m.mu2 - m.mu1**2, rel=1e-12)
+        assert k[2] == pytest.approx(m.mu3 - 3 * m.mu1 * m.mu2 + 2 * m.mu1**3,
                                      rel=1e-9, abs=1e-12)
 
     def test_match_series_of_log_char_fn(self):

@@ -77,8 +77,8 @@ class TestTransitionJumpSum:
         n = 1_000_000
         draws = draw_transition_jump_sum(ref_params, H_REF, rng, size=n)
         decay = math.exp(-2.0 * H_REF)
-        mean_expect = ref_moments.m1 * (1.0 - decay)
-        var_expect = (ref_moments.m2 - ref_moments.m1**2) * (1.0 - decay**2)
+        mean_expect = ref_moments.mu1 * (1.0 - decay)
+        var_expect = (ref_moments.mu2 - ref_moments.mu1**2) * (1.0 - decay**2)
         se_mean = draws.std() / math.sqrt(n)
         assert abs(draws.mean() - mean_expect) < 4.0 * se_mean
         centered = (draws - draws.mean()) ** 2
@@ -146,8 +146,8 @@ class TestSimulatePath:
         jumps = draw_transition_jump_sum(ref_params, H_REF, rng, size=n)
         nxt = math.exp(-2.0 * H_REF) * x + jumps
         decay = math.exp(-2.0 * H_REF)
-        mean_expect = decay * x + ref_moments.m1 * (1.0 - decay)
-        var_expect = (ref_moments.m2 - ref_moments.m1**2) * (1.0 - decay**2)
+        mean_expect = decay * x + ref_moments.mu1 * (1.0 - decay)
+        var_expect = (ref_moments.mu2 - ref_moments.mu1**2) * (1.0 - decay**2)
         assert abs(nxt.mean() - mean_expect) < 4.0 * nxt.std() / math.sqrt(n)
         centered = (nxt - nxt.mean()) ** 2
         assert abs(nxt.var() - var_expect) < 4.0 * centered.std() / math.sqrt(n)
@@ -157,7 +157,7 @@ class TestSimulatePath:
         path = simulate_path(ref_params, 0.0, H_REF, n, seed=5)
         # analytic long-run variance of the level series
         decay = math.exp(-2.0 * H_REF)
-        var = ref_moments.m2 - ref_moments.m1**2
+        var = ref_moments.mu2 - ref_moments.mu1**2
         long_run = var * (1.0 + 2.0 * decay / (1.0 - decay))
         assert abs(path.values.mean() - 0.125) < 4.0 * math.sqrt(long_run / n)
 
