@@ -194,12 +194,7 @@ def confidence_intervals(result: EstimationResult, cov: CovarianceEstimate,
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level!r}")
     z = NormalDist().inv_cdf(0.5 * (1.0 + level))
-    estimates = {
-        "p": result.p_hat,
-        "rho": result.rho_hat,
-        "xi": result.xi_hat,
-        "theta": result.theta_hat,
-    }
+    estimates = result.estimates_dict()
     intervals = {}
     warnings = []
     for k, name in enumerate(PARAM_ORDER):

@@ -29,6 +29,7 @@ from . import __version__
 from .asymptotics import confidence_intervals, covariance_estimate
 from .errors import EstimationError
 from .estimate import (
+    DEFAULT_GRID_SIZE,
     FVector,
     compute_f,
     empirical_moments,
@@ -73,7 +74,6 @@ PATH_OPTIONS = (
 OPTIONS = {
     "simulate": PATH_OPTIONS + (
         ("--lam", float, 1.0, None),
-        ("--sigma", float, 1.0, None),
         ("--n", int, 3000, None),
         ("--replication", int, 0, None),
         _out("path.csv"),
@@ -93,7 +93,7 @@ OPTIONS = {
         ("--f1", float, None, None),
         ("--f2", float, None, None),
         ("--f3", float, None, None),
-        ("--grid", int, 2001, None),
+        ("--grid", int, DEFAULT_GRID_SIZE, None),
         _out("gcurve.csv"),
     ),
 }
@@ -234,7 +234,7 @@ def _require(condition: bool, message: str) -> None:
 def cmd_simulate(options: dict) -> int:
     params = ModelParams(theta=options["theta"], eta=options["eta"],
                          phi=options["phi"], p=options["p"],
-                         lam=options["lam"], sigma=options["sigma"])
+                         lam=options["lam"])
     path = simulate_path(params, x0=options["x0"], h=options["h"],
                          n=options["n"], seed=options["seed"],
                          burn_in=options["burn_in"],
@@ -290,7 +290,6 @@ def cmd_experiment(options: dict) -> int:
     _require(options["seeds"] >= 1, f"seeds must be >= 1, got {options['seeds']}")
     params = ModelParams(theta=options["theta"], eta=options["eta"],
                          phi=options["phi"], p=options["p"])
-    params.require_unit_scale()
     n_max = max(n_values)
     # Replication j keeps one stream for every N: shorter rows are prefixes of
     # the same trajectory, a single growing observation window per seed.  The

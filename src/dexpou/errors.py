@@ -51,8 +51,9 @@ class DiscriminantNonpositive(EstimationError):
 
 
 class DiscriminantOverflow(EstimationError):
-    """f1^2 = (theta mu1)^2 exceeds float64's range: theta (about 1/h) or
-    the path's values are too large."""
+    """An f statistic is not finite, or f1^2 = (theta mu1)^2 exceeds
+    float64's range: theta (about 1/h) or the path's values are too
+    large."""
 
     stage = "f"
 

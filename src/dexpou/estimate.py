@@ -2,8 +2,9 @@
 
 Pipeline: sample moments -> closed-form theta -> reduced statistics
 (f1, f2, f3) -> the root p of g(p) = 0 on (0, 1) -> back-substitution for
-rho, xi -> eta = 1/rho, phi = 1/xi.  Assumes the lam = sigma = 1
-calibration convention throughout.
+rho, xi -> eta = 1/rho, phi = 1/xi.  The process is
+``dX = -theta X dt + dZ``, with the jump scale absorbed in eta and phi; the
+fit assumes lam = 1.
 
 All four sample moments are averaged over the same index set j = 1..n-1 (the
 lag product needs pairs), which preserves the exact algebraic identities the
@@ -65,22 +66,26 @@ class FVector:
     """Reduced statistics f1 = theta mu1, f2 = theta (mu2 - mu1^2),
     f3 = (theta/2)(mu3 - mu2 mu1 - 2 mu1 (mu2 - mu1^2)).
 
-    Made only with a positive ``discriminant`` f2 - f1^2, the variance of
-    the two-point law of :func:`solve_p`: raises
-    :class:`DiscriminantOverflow` when f1^2 overflows and
-    :class:`DiscriminantNonpositive` when f2 - f1^2 <= 0."""
+    Made only from finite statistics with a positive ``discriminant``
+    f2 - f1^2, the variance of the two-point law of :func:`solve_p`: raises
+    :class:`DiscriminantOverflow` when a statistic is not finite or f1^2
+    overflows, and :class:`DiscriminantNonpositive` unless f2 - f1^2 > 0."""
 
     f1: float
     f2: float
     f3: float
 
     def __post_init__(self):
+        for name in ("f1", "f2", "f3"):
+            if not math.isfinite(getattr(self, name)):
+                raise DiscriminantOverflow(
+                    f"{name} = {getattr(self, name)!r} is not finite")
         try:
             d = self.f2 - self.f1**2
         except OverflowError:  # a float's ** raises where numpy gives inf
             raise DiscriminantOverflow(
                 f"f1^2 overflows float64: f1 = {self.f1:.6e}") from None
-        if d <= 0:
+        if not d > 0:
             raise DiscriminantNonpositive(f"f2 - f1^2 = {d:.6e} <= 0")
         # not a field, so dataclasses.asdict gives f1, f2, f3 alone
         object.__setattr__(self, "discriminant", d)

@@ -1,8 +1,8 @@
 """Model parameters, characteristic functions, and stationary moments.
 
-The process is a mean-reverting Ornstein-Uhlenbeck equation
-``dX_t = -theta X_t dt + sigma dZ_t`` driven by a compound Poisson process
-whose jumps follow the two-sided exponential density
+The process is ``dX = -theta X dt + dZ``, with the jump scale absorbed in
+eta and phi; the fit assumes lam = 1.  Z is compound Poisson of rate lam,
+and its jumps follow the two-sided exponential density
 
     f(y) = p * eta * exp(-eta * y)   for y >= 0
          + q * phi * exp( phi * y)   for y <  0,      q = 1 - p.
@@ -50,22 +50,18 @@ PARAM_ORDER = ("p", "rho", "xi", "theta")
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The six model parameters.
-
-    ``lam`` (Poisson intensity) and ``sigma`` (jump scale) exist for the
-    simulator's generality; the calibration assumes the ``lam = sigma = 1``
-    convention and rejects anything else via :meth:`require_unit_scale`.
-    """
+    """The parameters of ``dX = -theta X dt + dZ``, with the jump scale
+    absorbed in eta and phi; the fit assumes lam = 1.  The simulator and
+    the oracles read all five."""
 
     theta: float   # mean-reversion rate, > 0
     eta: float     # up-jump rate, > 0
     phi: float     # down-jump rate, > 0
     p: float       # up-jump probability, in (0, 1)
-    lam: float = 1.0
-    sigma: float = 1.0
+    lam: float = 1.0  # jump rate of Z, > 0
 
     def __post_init__(self):
-        for name in ("theta", "eta", "phi", "lam", "sigma"):
+        for name in ("theta", "eta", "phi", "lam"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if not 0.0 < self.p < 1.0:
@@ -78,21 +74,13 @@ class ModelParams:
 
     @property
     def rho(self) -> float:
-        """sigma / eta, the mean up-jump size."""
-        return self.sigma / self.eta
+        """1 / eta, the mean up-jump size."""
+        return 1.0 / self.eta
 
     @property
     def xi(self) -> float:
-        """sigma / phi, the mean down-jump magnitude."""
-        return self.sigma / self.phi
-
-    def require_unit_scale(self) -> None:
-        """Reject parameters outside the lam = sigma = 1 calibration mode."""
-        if self.lam != 1.0 or self.sigma != 1.0:
-            raise ValueError(
-                f"calibration assumes lam = sigma = 1, got lam={self.lam}, "
-                f"sigma={self.sigma}"
-            )
+        """1 / phi, the mean down-jump magnitude."""
+        return 1.0 / self.phi
 
 
 @dataclass(frozen=True)
@@ -185,7 +173,8 @@ def _validate_point(theta: float, rho: float, xi: float, p: float) -> None:
 
 def stationary_cumulants(theta: float, rho: float, xi: float,
                          p: float) -> np.ndarray:
-    """Cumulants kappa_1..kappa_6 of the stationary law (lam = sigma = 1),
+    """Cumulants kappa_1..kappa_6 of the stationary law at lam = 1, the
+    fit's assumption (the jump scale is absorbed in eta and phi),
 
         kappa_r = (r-1)! (p rho^r + (-1)^r q xi^r) / theta,
 
@@ -286,7 +275,8 @@ def observable_autocov(theta: float, rho: float, xi: float, p: float,
                        h: float, lag: int) -> np.ndarray:
     """Lagged covariance ``Gamma(lag)[i, j] = Cov(Y_i(0), Y_j(lag))`` of the
     observables ``Y_t = (X_t, X_t^2, X_t^3, X_t X_{t+1})`` of the stationary
-    chain sampled at spacing h (lam = sigma = 1), for ``lag >= 0``; by
+    chain sampled at spacing h, at lam = 1 (the fit's assumption; the jump
+    scale is absorbed in eta and phi), for ``lag >= 0``; by
     stationarity ``Gamma(-k) = Gamma(k)^T``."""
     lag = int(lag)
     if lag < 0:

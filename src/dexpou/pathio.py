@@ -376,22 +376,25 @@ def _parse_rows(src: Path) -> tuple:
     """Row-by-row parse of the ``t`` and ``x`` columns that names the
     first offending data row."""
     rows = []
+    index = 0  # the 1-based data row being read; 0 on the first line
     try:
         with src.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
                 raise ValueError(f"{src}: empty file")
-            # row indices below are 1-based data rows (the header is not
-            # counted)
-            start = 1
+            index = 1
             if _is_numeric_row(header):
                 rows.append(_parse_row(header, 1, src))
-                start = 2
-            for i, row in enumerate(reader, start=start):
-                rows.append(_parse_row(row, i, src))
+                index = 2
+            for row in reader:
+                rows.append(_parse_row(row, index, src))
+                index += 1
     except UnicodeDecodeError:
         raise _undecodable(src) from None
+    except csv.Error as exc:  # e.g. a field beyond csv's size limit
+        where = f"row {index}" if index else "header row"
+        raise ValueError(f"{src}: {where}: {exc}") from None
     table = np.array(rows, dtype=float).reshape(-1, 2)
     return table[:, 0], table[:, 1]
 

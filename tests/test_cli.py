@@ -104,6 +104,13 @@ class TestSimulateCommand:
         assert code == 2
         assert "theta" in capsys.readouterr().err
 
+    def test_sigma_flag_exits_2(self, tmp_path, capsys):
+        # the jump scale is absorbed in eta and phi; there is no sigma
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--sigma", 2, "--out", tmp_path / "x.csv"])
+        assert exc.value.code == 2
+        assert "--sigma" in capsys.readouterr().err
+
 
 class TestEstimateCommand:
     def test_roundtrip_from_simulate(self, tmp_path):
@@ -418,6 +425,17 @@ class TestGcurveCommand:
                     "--out", tmp_path / "g.csv"]) == 3
         assert "DiscriminantNonpositive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fs", [("nan", 1, 0), (0, "inf", 0)],
+                             ids=["nan-f1", "inf-f2"])
+    def test_nonfinite_statistic_exits_3(self, tmp_path, capsys, fs):
+        out = tmp_path / "g.csv"
+        argv = ["gcurve", "--out", out]
+        for name, value in zip(("--f1", "--f2", "--f3"), fs):
+            argv += [name, value]
+        assert run(argv) == 3
+        assert "DiscriminantOverflow (stage f)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_needs_input_or_fs(self, tmp_path):
         assert run(["gcurve", "--out", tmp_path / "g.csv"]) == 2
 
@@ -434,10 +452,10 @@ class TestConfigFile:
 
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"bogus": 1}))
+        cfg.write_text(json.dumps({"bogus": 1, "sigma": 1}))
         assert run(["simulate", "--config", cfg,
                     "--out", tmp_path / "p.csv"]) == 2
-        assert "bogus" in capsys.readouterr().err
+        assert "['bogus', 'sigma']" in capsys.readouterr().err
 
     def test_config_json_array_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -48,7 +48,7 @@ from oracles import empirical_char_fn, empirical_joint_char_fn
 
 
 def exact_f(params: ModelParams) -> FVector:
-    """Reduced statistics implied by exact analytic moments (lam = sigma = 1)."""
+    """Reduced statistics implied by exact analytic moments (lam = 1)."""
     moments = analytic_moments(params, H_REF)
     return compute_f(moments, estimate_theta(moments))
 
@@ -183,14 +183,18 @@ class TestComputeF:
         with pytest.raises(DiscriminantNonpositive):
             compute_f(m, theta)
 
-    @pytest.mark.parametrize("f1, error", [
-        (1.0, DiscriminantNonpositive),   # f2 - f1^2 = 0
-        (1e155, DiscriminantOverflow),    # f1^2 overflows
-    ], ids=["zero", "overflow"])
-    def test_fvector_checks_discriminant_on_construction(self, f1, error):
+    @pytest.mark.parametrize("f, error", [
+        ((1.0, 1.0, 0.0), DiscriminantNonpositive),    # f2 - f1^2 = 0
+        ((1e155, 1.0, 0.0), DiscriminantOverflow),     # f1^2 overflows
+        ((math.nan, 1.0, 0.0), DiscriminantOverflow),
+        ((0.0, math.inf, 0.0), DiscriminantOverflow),
+        ((0.0, 1.0, -math.inf), DiscriminantOverflow),
+        ((math.inf, math.inf, 0.0), DiscriminantOverflow),
+    ], ids=["zero", "overflow", "nan-f1", "inf-f2", "inf-f3", "inf-f1-f2"])
+    def test_fvector_checks_discriminant_on_construction(self, f, error):
         # f2 - f1^2 < 0 is the bad FVector of TestGFunction.test_domain_errors
         with pytest.raises(error) as exc:
-            FVector(f1=f1, f2=1.0, f3=0.0)
+            FVector(*f)
         assert exc.value.stage == "f"
 
 

@@ -1,5 +1,6 @@
 """Analytic oracles: characteristic functions, moments, parameter maps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from dexpou import (
 
 from conftest import H_REF, random_valid_params
 
-# Exact reference moments at (theta=2, p=0.6, eta=1.2, phi=1.6, lam=sigma=1):
+# Exact reference moments at (theta=2, p=0.6, eta=1.2, phi=1.6, lam=1):
 # m1 = (1/2)(0.6/1.2 - 0.4/1.6), m2 - m1^2 = (1/2)(0.6/1.2^2 + 0.4/1.6^2).
 M1_EXACT = 0.125
 VAR_EXACT = 55.0 / 192.0
@@ -51,11 +52,23 @@ class TestModelParams:
         assert ref_params.rho == pytest.approx(1.0 / 1.2)
         assert ref_params.xi == pytest.approx(1.0 / 1.6)
 
-    def test_unit_scale_gate(self, ref_params):
-        ref_params.require_unit_scale()
-        scaled = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6, lam=2.0)
-        with pytest.raises(ValueError, match="lam"):
-            scaled.require_unit_scale()
+    @pytest.mark.parametrize("name",
+                             [f.name for f in dataclasses.fields(ModelParams)])
+    def test_every_field_moves_simulator_and_oracle(self, ref_params, name):
+        # a field that one side ignores makes the two describe different
+        # processes under the same parameters
+        changed = dataclasses.replace(
+            ref_params, **{name: 0.75 * getattr(ref_params, name)})
+
+        def values(params):
+            return simulate_path(params, x0=0.0, h=H_REF, n=2000, seed=1,
+                                 burn_in=50).values
+
+        def moments(params):
+            return analytic_moments(params, H_REF).to_array()
+
+        assert not np.array_equal(values(changed), values(ref_params))
+        assert not np.array_equal(moments(changed), moments(ref_params))
 
 
 class TestStationaryCharFn:

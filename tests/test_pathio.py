@@ -133,6 +133,10 @@ _ROWS = "0.02,1\n0.04,2\n0.06,3\n"
     ("t,x\n0.02,1\n0.04,--2\n0.06,3\n", "row 2: non-numeric field"),
     ("t,x\n0.02,1\n0.04,2e\n0.06,3\n", "row 2: non-numeric field"),
     ("t,x\n0.02,1\n0.04,.\n0.06,3\n", "row 2: non-numeric field"),
+    ("t,x\n0.02,1\n0.04," + " " * 300_000 + "2\n0.06,3\n",
+     r"row 2: field larger than field limit \(131072\)"),
+    ("t,x\n0.04,1\n0.02,2\n0.06,3\n", "row 2: non-increasing time column"),
+    ("0.02,1\n\n0.04,2\n0.06,3\n", "row 2: expected 2 columns, got 0"),
     # accepted (a list is the expected x)
     ('"t","x"\n"0.02","1"\n"0.04","2"\n"0.06","3"\n', [1.0, 2.0, 3.0]),
     ("t,x\n 0.02 , 1 \n 0.04 , 2 \n 0.06 , 3 \n", [1.0, 2.0, 3.0]),
@@ -146,6 +150,7 @@ _ROWS = "0.02,1\n0.04,2\n0.06,3\n"
         "empty-field", "hex-float", "infinity", "overflow",
         "undecodable-header", "undecodable-row", "two-points", "inner-minus",
         "two-exponents", "two-minus", "no-exponent-digits", "point-alone",
+        "field-limit", "time-decreasing", "headerless-blank",
         "quoted", "spaces", "crlf",
         "no-final-newline", "one-column-header", "bom", "headerless",
         "underscore"])
