@@ -80,7 +80,7 @@ class ConfidenceIntervals:
 def observable_series(path: SamplePath) -> np.ndarray:
     """The four aligned series (X_j, X_j^2, X_j^3, X_j X_{j+1}), j = 1..n-1,
     as an array of shape (4, n-1), for :func:`long_run_cov`.  Their row
-    means are the sample moments of
+    means equal, to rounding, the sample moments of
     :func:`dexpou.estimate.empirical_moments`, which sums the same products
     without forming this array."""
     x = path.values

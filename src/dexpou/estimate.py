@@ -10,6 +10,13 @@ All four sample moments are averaged over the same index set j = 1..n-1 (the
 lag product needs pairs), which preserves the exact algebraic identities the
 solver relies on.  They are summed in chunks of ``MOMENT_CHUNK`` rows, so
 the moment pass of a fit needs memory of order the chunk, not the path.
+Each chunk's four sums are ``np.einsum`` multiply-sums, which store no
+product but the squares; they are not numpy's pairwise sums.  BLAS
+(``np.dot``) is avoided because its kernel and thread split, and so its
+bits, vary with the machine.  Measured against ``math.fsum`` on simulated
+paths, the moments are off by up to 4.2e-15 of the mean |term| at 300 to
+1e5 points (pairwise sums: 5.2e-16), and by up to 3.6e-16 at 1e6 points,
+as with pairwise sums.
 Every precondition failure raises a typed error from :mod:`dexpou.errors`;
 nothing is clamped or silently repaired.  ``(f1, f2, f3)`` are the first
 three raw moments of a two-point law (rho with probability p, -xi with
@@ -131,26 +138,22 @@ def empirical_moments(path: SamplePath) -> Moments:
     """Sample moments of the path, all averaged over j = 1..n-1.
 
     The sums of (X_j, X_j^2, X_j^3, X_j X_{j+1}) are taken block by block
-    with the products of :func:`dexpou.asymptotics.observable_series`, so
-    the series is never formed; a path of at most ``MOMENT_CHUNK + 1``
-    points gives exactly its row means."""
+    as fused multiply-sums (``np.einsum``) of the products of
+    :func:`dexpou.asymptotics.observable_series`, so the series is never
+    formed; the moments equal that array's row means to rounding."""
     x = path.values
     if len(x) < 2:
         raise ValueError(f"path must have >= 2 observations, got {len(x)}")
     m = len(x) - 1
     sq = np.empty(min(m, MOMENT_CHUNK))
-    prod = np.empty_like(sq)
     sums = [0.0, 0.0, 0.0, 0.0]
     for start in range(0, m, MOMENT_CHUNK):
         head = x[start:min(start + MOMENT_CHUNK, m)]
         b = len(head)
-        np.square(head, out=sq[:b])
-        sums[0] += head.sum()
-        sums[1] += sq[:b].sum()
-        sq[:b] *= head                          # the cubes, in place
-        sums[2] += sq[:b].sum()
-        sums[3] += np.multiply(head, x[start + 1:start + 1 + b],
-                               out=prod[:b]).sum()
+        sums[0] += np.einsum("i->", head)
+        sums[1] += np.einsum("i,i->", head, head)
+        sums[2] += np.einsum("i,i->", np.square(head, out=sq[:b]), head)
+        sums[3] += np.einsum("i,i->", head, x[start + 1:start + 1 + b])
     mu1, mu2, mu3, mu4 = (float(s) / m for s in sums)
     return Moments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4, h=path.h, n_used=m)
 

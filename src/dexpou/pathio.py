@@ -15,7 +15,8 @@ burn-in, so a simulation run is fully reproducible from its outputs.
 
 Ingestion accepts any two-column ``t,x`` CSV with constant spacing; the
 spacing is inferred from the first two rows and enforced afterwards with
-tolerance ``1e-9 * h``.  The file is read in blocks of whole lines, and a
+tolerance ``1e-9 * h`` plus four ulps of the largest ``|t|``, the rounding of
+``t = h j`` on a long path.  The file is read in blocks of whole lines, and a
 numpy kernel, the writer's inverse (:mod:`dexpou._csvparse`, loaded on the
 first read), parses each block: a field of the form
 ``[-]digits[.digits][(e|E)[+-]digits]`` of at most 24 bytes is read from
@@ -358,7 +359,12 @@ def read_path_csv(csv_path) -> SamplePath:
     deviation = np.diff(t)
     deviation -= h
     np.abs(deviation, out=deviation)
-    bad = np.flatnonzero(deviation > SPACING_RTOL * h)
+    # the writer's t_j = h j is off by up to eps |t_j| / 2, so on a long
+    # path its spacing varies by a few ulps of the largest |t|, which an
+    # evenly spaced column holds at one of its ends
+    t_max = max(abs(t[0]), abs(t[-1]))
+    tol = SPACING_RTOL * h + 4 * np.finfo(float).eps * t_max
+    bad = np.flatnonzero(deviation > tol)
     if bad.size:
         # data row index of the first row breaking the spacing (1-based)
         row = int(bad[0]) + 2

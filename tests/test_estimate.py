@@ -86,6 +86,21 @@ class TestEmpiricalMoments:
         assert m.to_array() == pytest.approx(np.array(exact) / (n - 1),
                                              rel=1e-14, abs=0)
 
+    def test_bits_independent_of_byte_alignment(self, ref_params):
+        # the same values at each of the 8 byte offsets of a float64: a sum
+        # whose order followed the buffer's alignment would move the bits
+        path = simulate_path(ref_params, 0.0, H_REF, MOMENT_CHUNK + 1000,
+                             seed=33)
+        x = path.values
+        buf = np.empty(x.nbytes + 8, dtype=np.uint8)
+        moments = set()
+        for offset in range(8):
+            copy = buf[offset:offset + x.nbytes].view(np.float64)
+            copy[:] = x
+            m = empirical_moments(SamplePath(h=H_REF, values=copy))
+            moments.add(m.to_array().tobytes())
+        assert len(moments) == 1
+
     def test_peak_memory_independent_of_path_length(self):
         n = 1_000_000
         path = SamplePath(h=H_REF, values=make_rng(32).standard_normal(n))

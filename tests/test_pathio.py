@@ -72,6 +72,17 @@ def test_nonuniform_spacing_names_first_bad_row(tmp_path):
         read_path_csv(src)
 
 
+def test_long_path_time_column_accepted(tmp_path):
+    # rows from 13,107,190 of a path at h = 0.02: there ulp(t) = 5.8e-11
+    # exceeds 1e-9 h, so the spacing of t = h j varies by more than that
+    src = tmp_path / "late.csv"
+    t = 0.02 * np.arange(13_107_190, 13_107_250)
+    _write_float_csv(src, ("t", "x"), (t, np.zeros(len(t))))
+    path = read_path_csv(src)
+    assert path.h == t[1] - t[0]
+    assert len(path.values) == 60
+
+
 @pytest.mark.parametrize("rows, bad_row", [
     ("0.02,1.0\n0.04,2.0\nnan,3.0\n0.08,4.0\n", 3),   # nan t
     ("0.02,1.0\n0.04,nan\n0.06,3.0\n0.08,4.0\n", 2),  # nan x
