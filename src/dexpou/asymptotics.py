@@ -14,6 +14,12 @@ The covariance of the parameter estimates follows by the delta method:
 Jacobian of the estimates with respect to the moment vector, rows and
 columns ordered (p, rho, xi, theta).  Jacobians are evaluated at the plug-in
 point: the estimates and the sample moments they were solved from.
+
+Both stages have a constant size, so their cost is per call, not per
+observation.  A is summed on Python floats and becomes an array once.  The
+delta method takes the singular values of ``grad_theta h`` once, for its
+2-norm condition number, B from one LU solve (``np.linalg.solve``) and
+Sigma from two 4x4 products.
 """
 
 from __future__ import annotations
@@ -45,6 +51,12 @@ __all__ = [
 ]
 
 MAX_JACOBIAN_COND = 1e12
+# Binary degrees in the path's units: of mu1..mu4, and of (p, rho, xi,
+# theta); an entry of A or Sigma has the sum of its row's and column's.
+_MOMENT_DEGREE = np.array([1, 2, 3, 2])
+_A_DEGREE = _MOMENT_DEGREE[:, None] + _MOMENT_DEGREE
+_PARAM_DEGREE = np.array([0, 1, 1, 0])
+_SIGMA_DEGREE = _PARAM_DEGREE[:, None] + _PARAM_DEGREE
 
 
 @dataclass(frozen=True)
@@ -61,7 +73,7 @@ class CovarianceEstimate:
     def min_eigenvalue_ratio(self) -> float:
         """min eigenvalue of Sigma over its trace (PSD check aid)."""
         eig = np.linalg.eigvalsh(self.Sigma)
-        tr = float(np.trace(self.Sigma))
+        tr = float(self.Sigma.trace())
         return float(eig[0] / tr) if tr > 0 else 0.0
 
 
@@ -126,12 +138,13 @@ def long_run_cov(series: np.ndarray, bandwidth: int) -> np.ndarray:
 def _delta_method(A: np.ndarray, mu, theta: float, rho: float, xi: float,
                   p: float, h: float) -> tuple:
     """``(Sigma, cond)``: the covariance of :func:`sigma_matrix` and the
-    condition number of the parameter Jacobian it inverts."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (4, 4):
-        raise ValueError(f"A must be 4x4, got shape {A.shape}")
+    condition number of the parameter Jacobian it inverts, for a 4x4 float
+    array A.  ``cond`` is the 2-norm condition number: the ratio of the
+    extreme singular values, from the same SVD that ``np.linalg.cond``
+    makes, without that function's wrapper.  B comes from an LU solve."""
     Jh = jacobian_h(theta, rho, xi, p, h)
-    cond = float(np.linalg.cond(Jh))
+    sv = np.linalg.svd(Jh, compute_uv=False).tolist()
+    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
     if not cond < MAX_JACOBIAN_COND:
         raise SingularJacobian(cond)
     B = np.linalg.solve(Jh, jacobian_tilde_h(mu))
@@ -149,6 +162,9 @@ def sigma_matrix(A: np.ndarray, mu, theta: float, rho: float, xi: float,
     vector (mu1, mu2, mu3, mu4) at which grad h~ is evaluated: the plug-in
     moments the estimates were solved from.
     """
+    A = np.asarray(A, dtype=float)
+    if A.shape != (4, 4):
+        raise ValueError(f"A must be 4x4, got shape {A.shape}")
     return _delta_method(A, mu, theta, rho, xi, p, h)[0]
 
 
@@ -167,14 +183,12 @@ def covariance_estimate(path: SamplePath,
     k = math.frexp(max(result.rho_hat, result.xi_hat))[1]
     point = (result.theta_hat, math.ldexp(result.rho_hat, -k),
              math.ldexp(result.xi_hat, -k), result.p_hat, path.h)
-    degree = np.array([1, 2, 3, 2])         # of mu1..mu4 in the path
     A = model_long_run_cov(*point)
     Sigma, cond = _delta_method(
-        A, np.ldexp(result.moments.to_array(), -k * degree), *point)
-    rates = k * np.array([0, 1, 1, 0])       # rho and xi in PARAM_ORDER
+        A, np.ldexp(result.moments.to_array(), -k * _MOMENT_DEGREE), *point)
     with np.errstate(over="ignore"):
-        A = np.ldexp(A, k * (degree[:, None] + degree))
-        Sigma = np.ldexp(Sigma, rates[:, None] + rates)
+        A = np.ldexp(A, k * _A_DEGREE)
+        Sigma = np.ldexp(Sigma, k * _SIGMA_DEGREE)
     return CovarianceEstimate(A=A, Sigma=Sigma, n=len(path.values) - 1,
                               jacobian_condition=cond)
 
@@ -197,8 +211,7 @@ def confidence_intervals(result: EstimationResult, cov: CovarianceEstimate,
     estimates = result.estimates_dict()
     intervals = {}
     warnings = []
-    for k, name in enumerate(PARAM_ORDER):
-        var = cov.Sigma[k, k]
+    for name, var in zip(PARAM_ORDER, cov.Sigma.diagonal().tolist()):
         if var < 0:
             warnings.append(
                 f"Sigma[{name},{name}] = {var:.6e} < 0 (PSD violation); "

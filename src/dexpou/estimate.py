@@ -147,13 +147,17 @@ def empirical_moments(path: SamplePath) -> Moments:
     m = len(x) - 1
     sq = np.empty(min(m, MOMENT_CHUNK))
     sums = [0.0, 0.0, 0.0, 0.0]
-    for start in range(0, m, MOMENT_CHUNK):
-        head = x[start:min(start + MOMENT_CHUNK, m)]
-        b = len(head)
-        sums[0] += np.einsum("i->", head)
-        sums[1] += np.einsum("i,i->", head, head)
-        sums[2] += np.einsum("i,i->", np.square(head, out=sq[:b]), head)
-        sums[3] += np.einsum("i,i->", head, x[start + 1:start + 1 + b])
+    # A product beyond float64's range makes a sum inf, or nan where blocks
+    # of opposite sign meet; estimate_theta reports either as MomentOverflow,
+    # so numpy is not let warn of it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, m, MOMENT_CHUNK):
+            head = x[start:min(start + MOMENT_CHUNK, m)]
+            b = len(head)
+            sums[0] += np.einsum("i->", head)
+            sums[1] += np.einsum("i,i->", head, head)
+            sums[2] += np.einsum("i,i->", np.square(head, out=sq[:b]), head)
+            sums[3] += np.einsum("i,i->", head, x[start + 1:start + 1 + b])
     mu1, mu2, mu3, mu4 = (float(s) / m for s in sums)
     return Moments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4, h=path.h, n_used=m)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -157,7 +158,7 @@ def analytic_moments(params: ModelParams, h: float) -> Moments:
         raise ValueError(f"h must be > 0, got {h!r}")
     kappa = (params.lam * stationary_cumulants(params.theta, params.rho,
                                                params.xi, params.p)[:3]).tolist()
-    _, mu1, mu2, mu3 = _moments_from_cumulants(kappa).tolist()
+    _, mu1, mu2, mu3 = _moments_from_cumulants(kappa)
     mu4 = math.exp(-params.theta * h) * kappa[1] + mu1**2
     return Moments(mu1=mu1, mu2=mu2, mu3=mu3, mu4=mu4, h=h)
 
@@ -183,92 +184,118 @@ def stationary_cumulants(theta: float, rho: float, xi: float,
     covariance of the moment averages needs all six."""
     _validate_point(theta, rho, xi, p)
     q = 1.0 - p
-    return np.array([
-        math.factorial(r - 1) * (p * rho**r + (-1) ** r * q * xi**r) / theta
-        for r in range(1, 7)
-    ])
+    return np.array([(p * rho - q * xi) / theta,
+                     (p * rho**2 + q * xi**2) / theta,
+                     2 * (p * rho**3 - q * xi**3) / theta,
+                     6 * (p * rho**4 + q * xi**4) / theta,
+                     24 * (p * rho**5 - q * xi**5) / theta,
+                     120 * (p * rho**6 + q * xi**6) / theta])
 
 
-def _moments_from_cumulants(cumulants) -> np.ndarray:
-    """``E[Z^n]``, n = 0..R, of a law with cumulants kappa_1..kappa_R, by the
-    recursion ``m_n = sum_k C(n-1, k-1) kappa_k m_{n-k}``."""
-    kappa = [float(c) for c in cumulants]
-    m = [1.0]
-    for n in range(1, len(kappa) + 1):
-        m.append(sum(math.comb(n - 1, k - 1) * kappa[k - 1] * m[n - k]
-                     for k in range(1, n + 1)))
-    return np.array(m)
+def _moments_from_cumulants(kappa) -> list:
+    """``E[Z^n]``, n = 0..R, of a law with cumulants kappa_1..kappa_R,
+    R <= 6, by the recursion ``m_n = sum_k C(n-1, k-1) kappa_k m_{n-k}``,
+    written out term by term in the order of that sum."""
+    k1, k2, k3, k4, k5, k6 = list(kappa) + [0.0] * (6 - len(kappa))
+    m1 = k1
+    m2 = k1 * m1 + k2
+    m3 = k1 * m2 + 2 * k2 * m1 + k3
+    m4 = k1 * m3 + 3 * k2 * m2 + 3 * k3 * m1 + k4
+    m5 = k1 * m4 + 4 * k2 * m3 + 6 * k3 * m2 + 4 * k4 * m1 + k5
+    m6 = k1 * m5 + 5 * k2 * m4 + 10 * k3 * m3 + 10 * k4 * m2 + 5 * k5 * m1 + k6
+    return [1.0, m1, m2, m3, m4, m5, m6][:len(kappa) + 1]
 
 
-def _expansion_table():
-    """Coefficients and moment indices of :func:`_transition_table`."""
-    m, d, s = np.ogrid[:5, :5, :5]
-    i, j = np.maximum(m - s, 0), np.maximum(s - d, 0)
-    fact = np.array([math.factorial(n) for n in range(5)], dtype=float)
-    coef = np.where((d <= s) & (s <= m),
-                    fact[m] / (fact[d] * fact[j] * fact[i]), 0.0)
-    return coef, i, j
+def _lag_operator(mu1: float, mu2: float, w1: float, w2: float,
+                  weights) -> tuple:
+    """``(Q11, Q21, Q22, Q31, Q32, Q33)``, the lower triangle of
+
+        Q(W)[m][d] = sum_{s=d..m} C(m, s) C(s, d) mu_{m-s} w_{s-d} W_s,
+
+    1 <= d <= m <= 3, for ``weights = (W_1, W_2, W_3)``; ``mu_n`` and
+    ``w_n`` are as in :func:`_autocov_terms`, with ``mu_0 = w_0 = 1``."""
+    W1, W2, W3 = weights
+    return (W1,
+            2 * mu1 * W1 + 2 * w1 * W2, W2,
+            3 * mu2 * W1 + 6 * mu1 * w1 * W2 + 3 * w2 * W3,
+            3 * mu1 * W2 + 3 * w1 * W3, W3)
 
 
-_EXPANSION = _expansion_table()
+def _autocov_terms(theta: float, rho: float, xi: float, p: float, h: float,
+                   lag: Optional[int] = None) -> tuple:
+    """Lag-0 covariance and the lagged covariance, or the sum of all lagged
+    covariances, of the observables ``Y_t = (X_t, X_t^2, X_t^3, X_t X_{t+1})``,
+    as rows of Python floats.
 
+    ``X_k = b X_0 + E`` with ``b = e^{-theta h k}`` and E independent of
+    X_0, so ``E[e^{tE}] = M(t) / M(bt)`` for the stationary moment
+    generating function M.  Expanding ``(b x + E)^m`` gives
+    ``E[X_k^m | X_0 = x] = sum_d x^d sum_s C(m, s) C(s, d) mu_{m-s} w_{s-d} b^s``,
+    where ``mu_n = E[X^n]`` and ``w_j = j! [t^j] 1/M(t)``, the moments of the
+    cumulants ``-kappa_r``.  Column j of ``Gamma(k)[i, j] = Cov(Y_i(0), Y_j(k))``
+    enters through ``E[Y_j(k) | X_k = x]``, a cubic in x (``E[X_k X_{k+1} |
+    X_k] = a X_k^2 + kappa_1 (1 - a) X_k``, ``a = e^{-theta h}``), carried back
+    to the row's time.  Row 3 is conditioned at time 1, the end of its
+    pair, so for k >= 1 its entries are polynomials in ``a^(k-1)`` where rows
+    0-2 have ``a^k``, each with no constant term.  Any linear combination of
+    the ``Gamma(k)`` therefore needs only the weights ``W_s`` that replace
+    ``b^s``, s = 1..3 (:func:`_lag_operator`): ``u`` on rows 0-2 and ``v``
+    on row 3.  The powers ``(a^k)^s`` and ``(a^(k-1))^s`` give ``Gamma(k)``;
+    their sums over k >= 1, ``a^s / (1 - a^s)`` and ``1 / (1 - a^s)``, give
+    ``sum_k Gamma(k)``.  Those are taken from ``exp`` and ``expm1`` of
+    ``-s theta h``, so they stay accurate as ``theta h`` goes to 0 and never
+    overflow.
 
-def _transition_table(mu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``T[m, d, s]``, m <= 4: the coefficient of ``x^d b^s`` in
-    ``E[X_k^m | X_0 = x]``, with ``b = e^{-theta h k}``.
+    The lag-0 and one-step terms need ``E[X_0^i X_1^n] =
+    sum_t C(n, t) a^t mu_{i+t} nu_{n-t}``, with ``nu`` the moments of the
+    one-step innovation, whose cumulants are ``kappa_r (1 - a^r)``.
 
-    ``X_k = b X_0 + E`` with E independent of X_0, so
-    ``E[e^{tE}] = M(t) / M(bt)`` for the stationary moment generating
-    function M, and ``E[E^n] = sum_j C(n, j) mu_{n-j} w_j b^j``.  Here
-    ``mu_n = E[X^n]`` and ``w_j = j! [t^j] 1/M(t)``, the moments of the
-    cumulants ``-kappa_r``.  Expanding ``(b x + E)^m`` gives
-
-        T[m, d, s] = m! / (d! (s-d)! (m-s)!) mu_{m-s} w_{s-d},  d <= s <= m.
+    Returns ``(gamma0, S)``, 4x4 as sequences of rows: ``Gamma(0)``, and
+    ``Gamma(lag)`` for ``lag >= 1`` or ``sum_{k>=1} Gamma(k)`` for
+    ``lag=None``.  The point is validated before any exponential is taken.
     """
-    coef, i, j = _EXPANSION
-    return coef * mu[i] * w[j]
-
-
-def _autocov_terms(theta: float, rho: float, xi: float, p: float,
-                   h: float) -> tuple:
-    """Lag-0 covariance and the lag coefficients of the observables
-    ``Y_t = (X_t, X_t^2, X_t^3, X_t X_{t+1})``.
-
-    Returns ``(gamma0, D, a)`` with ``a = e^{-theta h}``: for k >= 1,
-
-        Gamma(k)[i, j] = Cov(Y_i(0), Y_j(k)) = sum_s D[i, j, s] beta_i^s,
-
-    with ``beta_i = a^k`` on rows 0-2 and ``a^(k-1)`` on row 3, s = 0..3 and
-    ``D[..., 0] = 0``.  Column j enters through ``E[Y_j(k) | X_k = x]``, a cubic
-    in x (``E[X_k X_{k+1} | X_k] = a X_k^2 + kappa_1 (1 - a) X_k``), carried
-    back to the row's time by ``X_{t+k} = b X_t + E``.  Row 3 is conditioned
-    at time 1, the end of its pair.
-    """
-    kappa = stationary_cumulants(theta, rho, xi, p)
+    kappa = stationary_cumulants(theta, rho, xi, p).tolist()
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h!r}")
-    a = math.exp(-theta * h)
-    mu = _moments_from_cumulants(kappa)         # stationary E[X^n], n <= 6
-    T = _transition_table(mu, _moments_from_cumulants(-kappa[:4]))
-    T1 = T @ a ** np.arange(5)                  # one step: b = a
-    # P[j, m]: E[Y_j(k) | X_k = x] as a polynomial in x
-    P = np.zeros((4, 4))
-    P[0, 1] = P[1, 2] = P[2, 3] = 1.0
-    P[3, 1], P[3, 2] = kappa[0] * (1.0 - a), a
-    m4 = T1[1, :2] @ mu[1:3]                    # E[X_0 X_1]
-    # R[i, d]: Cov(Y_i(0), X^d), X taken at time 0 (rows 0-2) or 1 (row 3)
-    d = np.arange(4)
-    i = np.arange(1, 4)[:, None]
-    R = np.empty((4, 4))
-    R[:3] = mu[i + d] - mu[i] * mu[d]
-    R[3] = T1[1:] @ mu[1:6] - m4 * mu[d]        # E[X_0 X_1^(d+1)] - m4 mu_d
-    G = (P @ T[:4, :4, :4].reshape(4, 16)).reshape(4, 4, 4)  # [j, d, s]
-    D = np.einsum("id,jds->ijs", R, G)
-    gamma0 = np.empty((4, 4))
-    gamma0[:3] = R[:3] @ P.T
-    gamma0[3, :3] = gamma0[:3, 3]
-    gamma0[3, 3] = T1[2, :3] @ mu[2:5] - m4**2  # E[X_0^2 X_1^2] - m4^2
-    return gamma0, D, a
+    x = theta * h
+    a = math.exp(-x)
+    if lag is None:
+        d = [-math.expm1(-s * x) for s in (1, 2, 3)]          # 1 - a^s
+        u = [math.exp(-s * x) / ds for s, ds in zip((1, 2, 3), d)]
+        v = [1.0 / ds for ds in d]
+    else:
+        b, b1 = a**lag, a ** max(lag - 1, 0)
+        u, v = (b, b * b, b**3), (b1, b1 * b1, b1**3)
+    a2, a3, a4 = a * a, a**3, a**4
+    mu = _moments_from_cumulants(kappa)           # E[X^n], n <= 6
+    _, mu1, mu2, mu3, mu4, mu5, _ = mu
+    # w1, w2: the moments of the cumulants -kappa_1, -kappa_2
+    w1, w2 = -kappa[0], kappa[0] * kappa[0] - kappa[1]
+    _, nu1, nu2, nu3, nu4 = _moments_from_cumulants(
+        (kappa[0] * (1.0 - a), kappa[1] * (1.0 - a2),
+         kappa[2] * (1.0 - a3), kappa[3] * (1.0 - a4)))
+    # E[X_0 X_1^n], n = 1..4, and E[X_0^2 X_1^2]
+    m4 = mu1 * nu1 + a * mu2
+    e2 = mu1 * nu2 + 2 * a * mu2 * nu1 + a2 * mu3
+    e3 = mu1 * nu3 + 3 * a * mu2 * nu2 + 3 * a2 * mu3 * nu1 + a3 * mu4
+    e4 = (mu1 * nu4 + 4 * a * mu2 * nu3 + 6 * a2 * mu3 * nu2
+          + 4 * a3 * mu4 * nu1 + a4 * mu5)
+    e22 = mu2 * nu2 + 2 * a * mu3 * nu1 + a2 * mu4
+    # R[i] = Cov(Y_i(0), (X, X^2, X^3)), X at time 0 (rows 0-2) or 1 (row 3)
+    R = [(mu[i + 1] - mu[i] * mu1, mu[i + 2] - mu[i] * mu2,
+          mu[i + 3] - mu[i] * mu3) for i in (1, 2, 3)]
+    R.append((e2 - m4 * mu1, e3 - m4 * mu2, e4 - m4 * mu3))
+    c1 = kappa[0] * (1.0 - a)
+    qu = _lag_operator(mu1, mu2, w1, w2, u)
+    qv = _lag_operator(mu1, mu2, w1, w2, v)
+    S = []
+    for (r1, r2, r3), (q11, q21, q22, q31, q32, q33) in zip(R, (qu, qu, qu, qv)):
+        s1 = r1 * q11
+        s2 = r1 * q21 + r2 * q22
+        S.append((s1, s2, r1 * q31 + r2 * q32 + r3 * q33, c1 * s1 + a * s2))
+    gamma0 = [(r1, r2, r3, c1 * r1 + a * r2) for r1, r2, r3 in R[:3]]
+    gamma0.append((gamma0[0][3], gamma0[1][3], gamma0[2][3], e22 - m4 * m4))
+    return gamma0, S
 
 
 def observable_autocov(theta: float, rho: float, xi: float, p: float,
@@ -281,11 +308,8 @@ def observable_autocov(theta: float, rho: float, xi: float, p: float,
     lag = int(lag)
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag!r}")
-    gamma0, D, a = _autocov_terms(theta, rho, xi, p, h)
-    if lag == 0:
-        return gamma0
-    beta = np.array([a**lag] * 3 + [a ** (lag - 1)])
-    return np.einsum("ijs,is->ij", D, beta[:, None] ** np.arange(D.shape[2]))
+    gamma0, S = _autocov_terms(theta, rho, xi, p, h, lag)
+    return np.array(gamma0 if lag == 0 else S)
 
 
 def model_long_run_cov(theta: float, rho: float, xi: float, p: float,
@@ -301,16 +325,16 @@ def model_long_run_cov(theta: float, rho: float, xi: float, p: float,
 
     with ``a = e^{-theta h}`` (the ``X X_{+1}`` row, a polynomial in
     ``a^(k-1)``, has weights ``1 / (1 - a^s)``).  The weights are taken from
-    ``expm1``, so they stay accurate as ``theta h`` goes to 0.  O(1): no path
-    and no bandwidth.
+    ``exp`` and ``expm1`` of ``-s theta h``, so they stay accurate as
+    ``theta h`` goes to 0 and never overflow.  O(1): no path and no
+    bandwidth.  ``S = sum_{k>=1} Gamma(k)`` is evaluated in closed form by
+    ``_autocov_terms`` on Python floats, in about 300 operations; numpy is
+    called once, for the result.  ``A = Gamma(0) + (S + S^T)`` is exactly
+    symmetric.
     """
-    gamma0, D, _ = _autocov_terms(theta, rho, xi, p, h)
-    s = np.arange(1, D.shape[2])
-    w = np.empty((4, len(s)))
-    w[:3] = 1.0 / np.expm1(s * theta * h)       # a^s / (1 - a^s)
-    w[3] = -1.0 / np.expm1(-s * theta * h)      # 1 / (1 - a^s)
-    S = np.einsum("ijs,is->ij", D[:, :, 1:], w)
-    return gamma0 + (S + S.T)
+    gamma0, S = _autocov_terms(theta, rho, xi, p, h)
+    return np.array([[g + (s + t) for g, s, t in zip(*rows)]
+                     for rows in zip(gamma0, S, zip(*S))])
 
 
 def h_map(theta: float, rho: float, xi: float, p: float, h: float) -> np.ndarray:

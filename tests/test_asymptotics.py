@@ -15,6 +15,7 @@ from dexpou import (
     covariance_estimate,
     empirical_moments,
     estimate_all,
+    estimate_from_moments,
     jacobian_h,
     jacobian_tilde_h,
     long_run_cov,
@@ -27,6 +28,7 @@ from dexpou import (
 from dexpou.errors import SingularJacobian
 
 from conftest import H_REF
+from test_estimate import CRITERION_6_POINTS, criterion_6_fits
 
 
 def bartlett_direct(series, L):
@@ -209,6 +211,25 @@ class TestSigmaMatrix:
             sigma_matrix(np.eye(4), self.mu, theta=2.0, rho=1 / 1.2, xi=0.625,
                          p=0.6, h=1e-13)
         assert err.value.condition_number > 1e12
+
+    def test_jacobian_condition_is_numpy_cond(self):
+        # the 2-norm condition number of grad h at the standardised point
+        # that covariance_estimate evaluates, as np.linalg.cond gives it
+        cases = [(simulate_path(params, 0.0, h, 3000, seed=99),
+                  estimate_from_moments(analytic_moments(params, h)))
+                 for params, h in CRITERION_6_POINTS]
+        fitted = criterion_6_fits(3000, 30)
+        for _, h in CRITERION_6_POINTS:           # 25 fits at each point
+            at_h = [fit for fit in fitted if fit[0].h == h][:25]
+            assert len(at_h) == 25
+            cases += at_h
+        for path, result in cases:
+            k = math.frexp(max(result.rho_hat, result.xi_hat))[1]
+            expect = np.linalg.cond(jacobian_h(
+                result.theta_hat, math.ldexp(result.rho_hat, -k),
+                math.ldexp(result.xi_hat, -k), result.p_hat, path.h))
+            got = covariance_estimate(path, result).jacobian_condition
+            assert got == pytest.approx(expect, rel=1e-12, abs=0)
 
     def test_full_pipeline_sigma_symmetric_psd(self, ref_params):
         path = simulate_path(ref_params, 0.0, H_REF, 10_001, seed=25)

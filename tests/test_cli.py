@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,43 @@ class TestEstimateCommand:
             assert run(["estimate", src, "--out", res]) == 3
         error = json.loads(res.read_text())["error"]
         assert (error["name"], error["stage"]) == (name, stage)
+
+    def test_overflowing_moments_exit_3_without_a_warning(self, tmp_path):
+        # x 1e200: the squares overflow inside the moment pass.  The fit
+        # ends in MomentOverflow, and numpy warns of nothing, so a process
+        # that makes RuntimeWarning an error still exits 3.
+        path = dexpou.simulate_path(dexpou.ModelParams(2.0, 1.2, 1.6, 0.6),
+                                    0.0, 0.02, 2000, seed=1)
+        src, res = str(tmp_path / "p.csv"), str(tmp_path / "r.json")
+        dexpou.write_path_csv(
+            dexpou.SamplePath(h=0.02, values=path.values * 1e200), src)
+        code = ("import sys\n"
+                "from dexpou.cli import main\n"
+                f"sys.exit(main(['estimate', {src!r}, '--out', {res!r}]))\n")
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(dexpou.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-c", code],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert out.returncode == 3, out.stderr
+        assert "Traceback" not in out.stderr
+        assert "encountered" not in out.stderr
+        error = json.loads(Path(res).read_text())["error"]
+        assert (error["name"], error["stage"]) == ("MomentOverflow", "theta")
+
+    def test_overflow_in_blocks_of_opposite_sign_exits_3(self, tmp_path):
+        # two moment blocks (2 x 65536 rows), all positive then all
+        # negative, x 1e200: the cube sums are +inf and -inf, and their sum
+        # is nan.  No numpy warning may escape the moment pass.
+        rows = 2 * dexpou.estimate.MOMENT_CHUNK + 1
+        values = np.where(np.arange(rows) < rows // 2, 1e200, -1e200)
+        src, res = tmp_path / "p.csv", tmp_path / "r.json"
+        dexpou.write_path_csv(dexpou.SamplePath(h=0.02, values=values), src)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["estimate", src, "--out", res]) == 3
+        error = json.loads(res.read_text())["error"]
+        assert (error["name"], error["stage"]) == ("MomentOverflow", "theta")
 
     def test_missing_file_exits_2(self, tmp_path):
         assert run(["estimate", tmp_path / "nope.csv"]) == 2

@@ -321,6 +321,20 @@ def criterion_6_fs(n: int, reps: int):
     return fs
 
 
+def criterion_6_fits(n: int, reps: int):
+    """``(path, estimate)`` of the paths of seed 99, replications
+    0..reps-1, at both criterion-6 points; failed fits are skipped."""
+    fits = []
+    for params, h in CRITERION_6_POINTS:
+        for j in range(reps):
+            path = simulate_path(params, 0.0, h, n, seed=99, replication=j)
+            try:
+                fits.append((path, estimate_all(path)))
+            except EstimationError:
+                continue
+    return fits
+
+
 class TestGCurveOracle:
     """The closed-form root against the g-curve it replaced, on simulated
     and on arbitrary statistics."""

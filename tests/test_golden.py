@@ -9,13 +9,21 @@ where the test runs.  The files were written with numpy 2.4.6 and Python
 3.11.  The moment sums follow numpy's einsum loop order, so another numpy
 may move the last bits of the three files re-captured below.
 
-``estimate.json``, ``experiment.csv`` and ``gcurve_input.csv`` were last
-re-captured when the moment sums became einsum multiply-sums.  The largest
-drift ``golden_drift.py`` reported, as ``max |new - old| / max |old|`` per
-field: moments 7.9e-16, ``f`` 1.9e-14, estimates 1.9e-14, ``A`` 3.0e-15,
+``experiment.csv`` and ``gcurve_input.csv`` were last re-captured when the
+moment sums became einsum multiply-sums.  The largest drift
+``golden_drift.py`` reported, as ``max |new - old| / max |old|`` per field:
+moments 7.9e-16, ``f`` 1.9e-14, estimates 1.9e-14, ``A`` 3.0e-15,
 ``Sigma`` 2.1e-12, its eigenvalue ratio 8.2e-13, intervals 3.7e-13; the
-experiment estimates 5.6e-15; ``g`` 4.5e-14 and ``g_prime`` 4.8e-13.  The
-other four files stayed byte-identical.
+experiment estimates 5.6e-15; ``g`` 4.5e-14 and ``g_prime`` 4.8e-13.
+
+``estimate.json`` was last re-captured when the model's long-run
+covariance A came to be summed on Python floats.  Its moments, ``f`` and
+estimates kept their bits; ``A`` moved by 1.5e-17, ``Sigma`` by 1.2e-12,
+its eigenvalue ratio by 4.8e-13 and the intervals by up to 2.1e-13
+(``theta``).  Sigma is that sensitive to the last bits of A's small
+entries: against the Sigma of a correctly rounded A, the old file was off
+by 1.7e-12 and the new one is off by 1.5e-13.  The other six files stayed
+byte-identical.
 
 To re-capture after a change that is meant to move an output, run
 ``PYTHONPATH=src python scripts/golden_drift.py --out DIR``, check the

@@ -23,6 +23,7 @@ from dexpou import (
 )
 
 from conftest import H_REF, random_valid_params
+from test_estimate import CRITERION_6_POINTS, criterion_6_fits
 
 # Exact reference moments at (theta=2, p=0.6, eta=1.2, phi=1.6, lam=1):
 # m1 = (1/2)(0.6/1.2 - 0.4/1.6), m2 - m1^2 = (1/2)(0.6/1.2^2 + 0.4/1.6^2).
@@ -297,6 +298,35 @@ class TestModelLongRunCov:
             assert np.array_equal(A, A.T)
             eig = np.linalg.eigvalsh(A)
             assert eig[0] > 0
+
+    def test_exactly_symmetric_at_criterion_6_and_fitted_points(self):
+        # A = Gamma(0) + (S + S^T) with Gamma(0) built symmetric, so the
+        # closed form keeps exact symmetry away from POINTS too
+        points = [(params.theta, params.rho, params.xi, params.p, h)
+                  for params, h in CRITERION_6_POINTS]
+        fits = criterion_6_fits(3000, 20)
+        assert len({path.h for path, _ in fits}) == 2   # both points
+        points += [(r.theta_hat, r.rho_hat, r.xi_hat, r.p_hat, path.h)
+                   for path, r in fits]
+        for point in points:
+            A = model_long_run_cov(*point)
+            assert np.array_equal(A, A.T), point
+
+    @pytest.mark.parametrize("point", [
+        (0.0, 0.5, 0.5, 0.5, 1.0),          # theta = 0: theta h = 0
+        (-1.0, 0.5, 0.5, 0.5, 300.0),       # e^{-theta h} would overflow
+        (1.0, 0.5, 0.5, 0.5, 0.0),
+        (1.0, 0.5, 0.5, 0.5, -300.0),
+        (1.0, 0.5, 0.5, 0.5, -1000.0),
+        (1.0, 0.5, 0.5, 0.5, math.nan),
+    ])
+    def test_invalid_point_raises_value_error(self, point):
+        # the point is checked before any exponential or weight is taken
+        with pytest.raises(ValueError):
+            model_long_run_cov(*point)
+        for lag in (0, 1, 5):
+            with pytest.raises(ValueError):
+                observable_autocov(*point, lag)
 
     def test_lag_zero_and_one_against_sample_covariances(self, ref_params):
         # batch means over 40 blocks of 25000 steps (1000 correlation
