@@ -11,7 +11,15 @@ the exact transition law at the observation times.
 
 Randomness comes from a numpy PCG64 generator keyed by (seed, replication)
 through ``SeedSequence`` spawn keys, so each replication owns an independent
-stream and identical inputs reproduce paths bit for bit.
+stream and identical inputs reproduce paths bit for bit.  The counts N are
+those of ``rng.poisson(lam h, steps)``, and the stream after them is
+unchanged.  For ``lam h`` below ``_REPLAY_MAX_RATE`` on
+``_REPLAY_MIN_STEPS`` steps or more they are replayed from one bulk
+``rng.random(steps)``: numpy draws a count below 10 by
+multiplying uniforms until the product falls to ``e^{-lam h}``, and a
+uniform at or below ``e^{-lam h}`` ends its step wherever it falls, so only
+the few runs of adjacent uniforms above it need a walk in Python.  At
+``lam h = 0.02`` that takes about half the time of ``rng.poisson``.
 
 The path itself is the AR(1) recursion ``X_j = a X_{j-1} + J_j`` with
 ``a = e^{-theta h}``, run in place on the jump sums with numpy alone (no
@@ -46,6 +54,14 @@ _SPAN = 64.0
 # Largest block: bounds the factor arrays when theta * h is tiny, and keeps
 # k < 2^13 in _block_factors.
 _MAX_BLOCK = 1 << 12
+# The Poisson counts of at least _REPLAY_MIN_STEPS steps at a rate below
+# _REPLAY_MAX_RATE are replayed from one bulk uniform draw (_jump_steps).
+# Elsewhere numpy's rng.poisson is faster: the replay costs about 10 us more
+# per call, and more uniforms fall in runs as the rate grows.  numpy draws
+# counts of rate 10 and up by another method, so the rate bound must stay
+# at or below 10.
+_REPLAY_MIN_STEPS = 2000
+_REPLAY_MAX_RATE = 0.15
 
 __all__ = [
     "SamplePath",
@@ -93,6 +109,69 @@ def default_burn_in(theta: float, h: float) -> int:
     return math.ceil(10.0 / (theta * h))
 
 
+def _jump_steps(rate: float, rng: np.random.Generator,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step of each jump, in order, for ``size`` steps of
+    ``N ~ Poisson(rate)`` jumps: ``np.repeat(np.arange(size), counts)`` of
+    ``counts = rng.poisson(rate, size)``, bit for bit, leaving ``rng``
+    where ``rng.poisson`` leaves it.  Returned with the path-sized array
+    the steps were read from, the counts or the bulk uniforms, for the
+    caller to free when the sums can take its memory.
+
+    From ``_REPLAY_MIN_STEPS`` steps at rates in ``(0, _REPLAY_MAX_RATE)``
+    the counts are replayed from one bulk ``rng.random(size)``.  numpy
+    draws a count below 10 by multiplication: a step multiplies uniforms
+    (the doubles of ``rng.random``) into ``prod``, counting a jump while
+    ``prod > e^{-rate}``, so a step of N jumps takes N + 1 uniforms.  A
+    uniform ``U <= e^{-rate}`` always ends its step.  A candidate
+    ``U > e^{-rate}`` that starts a step is a jump, and the first of a run
+    of adjacent candidates starts one; inside a run, a step ends where its
+    running product, walked on Python floats as numpy forms it, falls to
+    ``e^{-rate}``.  Each step takes at least one uniform, so the bulk draw
+    never reads past the ``size`` steps.  The steps left unended, about
+    ``size * rate`` of them, are drawn after it: a step cut by the end of
+    the bulk draw by continuing its product, the rest by ``rng.poisson``.
+    """
+    if size < _REPLAY_MIN_STEPS or not 0.0 < rate < _REPLAY_MAX_RATE:
+        counts = rng.poisson(rate, size)
+        return np.repeat(np.arange(size), counts), counts
+    limit = math.exp(-rate)  # numpy's exp(-lam): the same libm call
+    u = rng.random(size)
+    cand = (u > limit).nonzero()[0]
+    # cand[k] and cand[k + 1] adjacent: a step may end at the second
+    pairs = (cand[1:] - cand[:-1] == 1).nonzero()[0]
+    ends, prod, last = [], 1.0, -1
+    at = cand[pairs]
+    for k, first, value in zip(pairs.tolist(), u[at].tolist(),
+                               u[at + 1].tolist()):
+        if k != last:  # cand[k] starts a run, and so its step
+            prod = first
+        prod *= value
+        last = k + 1
+        if not prod > limit:
+            ends.append(last)
+            prod = 1.0
+    jumps = np.delete(cand, ends) if ends else cand
+    kept = len(jumps)
+    steps = [jumps - np.arange(kept)]  # a jump's step: uniforms before it
+    done = size - kept  # steps ended within the bulk draw
+    if kept and jumps[-1] == size - 1:
+        # the bulk draw ends inside step `done`: continue its product
+        if last != len(cand) - 1:
+            prod = float(u[-1])  # an isolated last candidate
+        extra = 0
+        while True:
+            prod *= rng.random()
+            if not prod > limit:
+                break
+            extra += 1
+        steps.append(np.full(extra, done))
+        done += 1
+    steps.append(np.repeat(np.arange(done, size),
+                           rng.poisson(rate, size - done)))
+    return np.concatenate(steps), u
+
+
 def draw_transition_jump_sum(params: ModelParams, h: float,
                              rng: np.random.Generator,
                              size: int) -> np.ndarray:
@@ -102,11 +181,17 @@ def draw_transition_jump_sum(params: ModelParams, h: float,
     Per step: N ~ Poisson(lam h); each of the N jumps draws its own
     U ~ Uniform[0,1] and then a two-sided exponential with rates
     (eta, phi) * exp(theta h U).  Returns the per-step sums (0 when N = 0).
+
+    The counts are those of ``rng.poisson(lam h, size)``, bit for bit, and
+    the stream after them is where ``rng.poisson`` leaves it.  For small
+    ``lam h`` and ``size >= _REPLAY_MIN_STEPS`` they are replayed from one
+    bulk uniform draw (see ``_jump_steps``), which takes about half the
+    time at ``lam h = 0.02``.
     """
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h!r}")
-    counts = rng.poisson(params.lam * h, size)
-    total = int(counts.sum())
+    step_of_jump, drawn = _jump_steps(params.lam * h, rng, size)
+    total = len(step_of_jump)
     scale = np.exp(params.theta * h * rng.random(total))
     # two-sided exponential draws at rates (eta, phi) * scale, up with
     # probability p: mag / (-phi * scale) is -mag / (phi * scale) bit for bit
@@ -114,9 +199,9 @@ def draw_transition_jump_sum(params: ModelParams, h: float,
     mag = rng.standard_exponential(total)
     scale *= np.where(side < params.p, params.eta, -params.phi)
     jumps = mag / scale
-    hit = np.flatnonzero(counts > 0)
-    step_of_jump = np.repeat(hit, counts[hit])
-    del counts  # freed before the sums: one path-sized array at a time
+    # freed after the jump draws, so that the sums reuse its memory: one
+    # path-sized array at a time
+    del drawn
     # float64 even when no jump lands: bincount of no weights is int64
     return np.bincount(step_of_jump, weights=jumps,
                        minlength=size).astype(np.float64, copy=False)
@@ -202,10 +287,11 @@ def simulate_path(params: ModelParams, x0: float, h: float, n: int, seed: int,
 
     The jump sums of all ``burn_in + n`` steps are drawn at once and the
     recursion ``X_j = e^{-theta h} X_{j-1} + J_j`` overwrites them in
-    place, block by block (see the module docstring); the Poisson counts
-    are freed before the sums are made, so memory peaks at about 1.2 times
-    the path's bytes.  ``X`` is within rounding (below 1e-15 of ``max|X|``
-    at ``theta h = 0.04``) of the sequential loop over the same draws.
+    place, block by block (see the module docstring); the bulk uniforms or
+    Poisson counts are freed before the sums are made, so at
+    ``lam h = 0.02`` memory peaks at about 1.15 times the path's bytes.
+    ``X`` is within rounding (below 1e-15 of ``max|X|`` at
+    ``theta h = 0.04``) of the sequential loop over the same draws.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n!r}")

@@ -1,6 +1,7 @@
 """Test-side oracles that the package itself does not use: the empirical
-characteristic functions of a path, and the two-sided exponential draw that
-the transition sampler's jump sums are built from."""
+characteristic functions of a path, the two-sided exponential draw that
+the transition sampler's jump sums are built from, and those jump sums as
+first composed from ``rng.poisson`` counts."""
 
 import numpy as np
 
@@ -23,6 +24,21 @@ def draw_double_exp(p: float, eta, phi, rng: np.random.Generator, size=None):
     mag = rng.standard_exponential(n)
     out = np.where(side < p, mag / eta, -mag / phi)
     return float(out[0]) if size is None else out
+
+
+def composed_jump_sums(params, h: float, rng: np.random.Generator,
+                       size: int):
+    """The jump sums of ``size`` steps composed from ``rng.poisson(lam h)``
+    counts and :func:`draw_double_exp`, in the order the simulator draws
+    them; returns ``(sums, counts)``.  ``draw_transition_jump_sum`` must
+    give the same sums bit for bit and leave ``rng`` in the same place."""
+    counts = rng.poisson(params.lam * h, size)
+    scale = np.exp(params.theta * h * rng.random(int(counts.sum())))
+    jumps = draw_double_exp(params.p, params.eta * scale, params.phi * scale,
+                            rng, size=len(scale))
+    sums = np.bincount(np.repeat(np.arange(size), counts), weights=jumps,
+                       minlength=size)
+    return sums, counts
 
 
 def empirical_char_fn(path, u):

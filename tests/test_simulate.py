@@ -18,10 +18,42 @@ from dexpou import (
     stationary_char_fn,
 )
 
-from dexpou.simulate import _MAX_BLOCK, _SPAN, _ar1_in_place
+from dexpou import simulate
+from dexpou.simulate import (_MAX_BLOCK, _REPLAY_MAX_RATE, _REPLAY_MIN_STEPS,
+                             _SPAN, _ar1_in_place)
 
 from conftest import H_REF
-from oracles import draw_double_exp, empirical_char_fn
+from oracles import composed_jump_sums, draw_double_exp, empirical_char_fn
+
+
+def assert_same_draw(params, h, seed, size):
+    """draw_transition_jump_sum gives composed_jump_sums's bits and leaves
+    the stream in the same place; returns the composition's counts."""
+    rng = make_rng(seed)
+    expect, counts = composed_jump_sums(params, h, rng, size)
+    after = make_rng(seed)
+    got = draw_transition_jump_sum(params, h, after, size=size)
+    assert got.dtype == np.float64
+    assert got.tobytes() == expect.tobytes()
+    assert after.random() == rng.random()
+    return counts
+
+
+def _candidate_runs(flags):
+    """(start, stop) of each run of True in ``flags``."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], flags, [0]))))
+    return zip(edges[::2].tolist(), edges[1::2].tolist())
+
+
+def _ends_step_inside_run(run, limit):
+    """Whether numpy's running product over ``run``, a run of uniforms above
+    ``limit`` that starts a step, falls to ``limit`` before the last one."""
+    prod = 1.0
+    for value in run[:-1]:
+        prod *= value
+        if not prod > limit:
+            return True
+    return False
 
 
 def test_default_burn_in(ref_params):
@@ -88,20 +120,62 @@ class TestTransitionJumpSum:
     @pytest.mark.parametrize("p, lam, h", [
         (0.6, 2.0, 0.02), (0.01, 2.0, 0.5), (0.99, 5.0, 0.1),
         (0.5, 100.0, 0.1),  # lam h = 10
+        (0.6, 1e-3, 1.0), (0.6, 0.02, 1.0),
+        # lam h at the switch to rng.poisson and one ulp either side
+        (0.3, math.nextafter(_REPLAY_MAX_RATE, 0.0), 1.0),
+        (0.3, _REPLAY_MAX_RATE, 1.0),
+        (0.3, math.nextafter(_REPLAY_MAX_RATE, 1.0), 1.0),
     ])
-    def test_same_bits_as_public_draw(self, p, lam, h):
-        # the composition the jump sums were first built from
+    def test_same_bits_as_public_draw(self, monkeypatch, p, lam, h):
+        # the composition the jump sums were first built from; with the
+        # replay's size bound lowered to 1 every size below takes it
         params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=p, lam=lam)
-        for seed in (1, 2, 3):
-            rng = make_rng(seed)
-            counts = rng.poisson(lam * h, 5_000)
-            scale = np.exp(params.theta * h * rng.random(int(counts.sum())))
-            jumps = draw_double_exp(p, params.eta * scale, params.phi * scale,
-                                    rng, size=len(scale))
-            expect = np.bincount(np.repeat(np.arange(5_000), counts),
-                                 weights=jumps, minlength=5_000)
-            got = draw_transition_jump_sum(params, h, make_rng(seed), size=5_000)
-            assert got.tobytes() == expect.tobytes()
+        for min_steps in (_REPLAY_MIN_STEPS, 1):
+            monkeypatch.setattr(simulate, "_REPLAY_MIN_STEPS", min_steps)
+            for size in (1, 2, 5_000):
+                for seed in (1, 2, 3):
+                    assert_same_draw(params, h, seed, size)
+
+    @pytest.mark.parametrize("lam, seed, size, beyond", [
+        (0.02, 17, 2_000, 1), (0.14, 224, 2_000, 2), (0.14, 400, 2_000, 2),
+        (0.14, 100, 2_000, 1), (0.14, 896, 2_000, 1), (0.14, 473, 2, 1)])
+    def test_bulk_draw_ending_inside_a_step(self, monkeypatch, lam, seed,
+                                            size, beyond):
+        # the last bulk uniform continues a step that ends ``beyond``
+        # uniforms later: at the next uniform, or after one more jump.  At
+        # seeds 100, 896 and 473 that next uniform is above e^{-lam h} and
+        # only the carried product is not; the open step began at the last
+        # bulk uniform (100) or at the one before it (896, 473), and at 473
+        # the product from the last bulk uniform alone stays above too
+        monkeypatch.setattr(simulate, "_REPLAY_MIN_STEPS", 1)
+        params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6, lam=lam)
+        counts = assert_same_draw(params, 1.0, seed, size)
+        ends = np.cumsum(counts + 1)  # uniforms used through each step
+        assert ends[np.searchsorted(ends, size)] - size == beyond
+
+    def test_step_ending_inside_a_run_of_candidates(self):
+        # seed 206 draws a run of three or more uniforms above e^{-lam h}
+        # whose running product falls to e^{-lam h} before the run ends
+        params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6, lam=0.02)
+        seed, size = 206, 2_000
+        limit = math.exp(-0.02)
+        u = make_rng(seed).random(size)
+        assert any(
+            _ends_step_inside_run(u[start:stop].tolist(), limit)
+            for start, stop in _candidate_runs(u > limit) if stop - start >= 3)
+        assert_same_draw(params, 1.0, seed, size)
+
+    @pytest.mark.parametrize("lam", [1.0, 10.0])  # lam h 0.02 and 0.2
+    def test_empty_and_negative_size(self, monkeypatch, lam):
+        params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6, lam=lam)
+        with pytest.raises(ValueError):
+            draw_transition_jump_sum(params, H_REF, make_rng(16), size=-1)
+        for min_steps in (_REPLAY_MIN_STEPS, 0):
+            monkeypatch.setattr(simulate, "_REPLAY_MIN_STEPS", min_steps)
+            rng = make_rng(16)
+            got = draw_transition_jump_sum(params, H_REF, rng, size=0)
+            assert got.dtype == np.float64 and got.shape == (0,)
+            assert rng.random() == make_rng(16).random()
 
     def test_time_homogeneity(self, ref_params):
         # the draw law does not depend on the step position in the stream
@@ -218,8 +292,9 @@ class TestAR1Kernel:
         assert np.max(np.abs(got - expect)) <= 1e-13 * x0
 
     def test_simulate_path_allocates_no_second_path(self, ref_params):
-        # jump sums and path share one array, and the Poisson counts are
-        # freed before the sums are made: 1.18x measured, 2.06x with lfilter
+        # jump sums and path share one array, and the bulk uniforms the
+        # counts are replayed from are freed before the sums are made: 1.15x
+        # measured (1.23x with rng.poisson's counts, 2.06x with lfilter)
         n = 1_000_000
         simulate_path(ref_params, 0.0, H_REF, 100, seed=1)  # warm caches
         tracemalloc.start()
