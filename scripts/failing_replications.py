@@ -1,50 +1,49 @@
 #!/usr/bin/env python3
-"""List the replications of the benchmark's ``mc_short`` workload whose fit
-raises.
+"""List the replications of the benchmark's ``mc_short`` workload that fail.
 
-Replication ``i`` of ``mc_short`` at seed ``S`` simulates ``--n`` points of
-a stationary path at the reference point (``theta`` 2, ``eta`` 1.2, ``phi``
-1.6, ``p`` 0.6, ``h`` 0.02, from ``x0`` = 0) with ``simulate_path(...,
-seed=S, replication=i)``, and fits it with ``estimate_all``,
-``covariance_estimate`` and 95% ``confidence_intervals``, the public calls
-of ``perfbench/run.py``.  This refits replications 0 to ``--upto`` - 1 and
-prints one line per replication whose fit raises an ``EstimationError``:
-its index, the error's class and the stage it names.  The last line counts
-them.  A benchmark run's ``failed`` count is the number of these below its
-``attempted``, plus any op whose intervals fail the run's check.  The
-package comes from ``PYTHONPATH``, so one checkout's script can list
-another tree's failures.
+Replication ``i`` of ``mc_short`` at seed ``S`` is the op ``i`` of
+``perfbench/run.py``'s ``MonteCarlo`` workload: this imports that workload,
+with its reference point, spacing, fit and check, and runs its ops 0 to
+``--upto`` - 1 at ``--n`` points (by default the benchmark's full size).  It
+prints one line per op that the benchmark counts as failed: its index, and
+either the class of the ``EstimationError`` it raises and the stage that
+error names, or ``check`` and the first problem the check found.  The last
+line counts them, so a run's ``failed`` equals that count at ``--upto`` set
+to its ``attempted``.  The package comes from ``PYTHONPATH``, so one
+checkout's script can list another tree's failures.
 
     PYTHONPATH=src python scripts/failing_replications.py --seed 3005 --upto 7000
 """
 
 import argparse
+import importlib
 import sys
+from pathlib import Path
 
-from dexpou import (
-    ModelParams,
-    confidence_intervals,
-    covariance_estimate,
-    estimate_all,
-    simulate_path,
-)
-from dexpou.errors import EstimationError
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-REF = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6)
-H = 0.02
+import run  # noqa: E402
+
+from dexpou.errors import EstimationError  # noqa: E402
+
+FULL_N = run.SIZES["full"]["mc_short"]
 
 
-def failures(seed: int, replications, n: int = 10_000):
-    """Yield ``(replication, error class name, stage)`` for each of
-    ``replications`` whose ``mc_short`` fit raises."""
+def failures(seed: int, replications, n: int = FULL_N):
+    """Yield ``(replication, error class name or "check", stage or
+    problem)`` for each of ``replications`` whose ``mc_short`` op fails."""
+    dx = argparse.Namespace(
+        **{m: importlib.import_module("dexpou." + m) for m in run.MODULES})
+    workload = run.MonteCarlo(dx, seed, n)
     for i in replications:
-        path = simulate_path(REF, 0.0, H, n, seed=seed, replication=i)
         try:
-            result = estimate_all(path)
-            cov = covariance_estimate(path, result)
-            confidence_intervals(result, cov, level=0.95)
+            out = workload.op(i)
         except EstimationError as exc:
             yield i, type(exc).__name__, exc.stage
+            continue
+        problems = workload.check(i, out)
+        if problems:
+            yield i, "check", problems[0]
 
 
 def main(argv=None) -> int:
@@ -52,15 +51,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--upto", type=int, required=True,
                         help="refit replications 0 to UPTO - 1")
-    parser.add_argument("--n", type=int, default=10_000)
+    parser.add_argument("--n", type=int, default=FULL_N)
     args = parser.parse_args(argv)
     if args.upto < 0:
         parser.error("--upto must be >= 0")
 
     count = 0
-    for i, name, stage in failures(args.seed, range(args.upto), args.n):
-        print(f"seed {args.seed} replication {i}: {name} at {stage}",
-              flush=True)
+    for i, name, where in failures(args.seed, range(args.upto), args.n):
+        how = (f"check failed: {where}" if name == "check"
+               else f"{name} at {where}")
+        print(f"seed {args.seed} replication {i}: {how}", flush=True)
         count += 1
     print(f"{count} of {args.upto} replications failed "
           f"(seed {args.seed}, n = {args.n})")

@@ -7,12 +7,10 @@ lie below the switch from the bulk-uniform replay of the counts to
 ``rng.poisson`` (a third, log-uniform from 1e-6), within a few ulp of it (a
 sixth), above it up to 10 (a third) and from 10 to 40, where numpy samples
 by another method (a sixth).  The sizes are 0 to 3 in a quarter of the
-cases and log-uniform up to 20,000 in the rest.  Each case runs twice: with
-the replay's size bound as it is, and with it at 0, so that every size below
-the switch's rate is replayed.  ``draw_transition_jump_sum`` must give
-``tests/oracles.composed_jump_sums``'s bits, and the generator's next output
-after it must be the same.  Exits 1 naming the first mismatching case, 0
-when every case matches.
+cases and log-uniform up to 20,000 in the rest.  ``draw_transition_jump_sum``
+must give ``tests/oracles.composed_jump_sums``'s bits, and the generator's
+next output after it must be the same.  Exits 1 naming the first
+mismatching case, 0 when every case matches.
 
     PYTHONPATH=src python scripts/poisson_fuzz.py --draws 3000 --seed 1
 """
@@ -84,22 +82,15 @@ def main(argv=None) -> int:
     if args.draws < 0:
         parser.error("--draws must be >= 0")
 
-    min_steps = simulate._REPLAY_MIN_STEPS
     replayed = 0
-    try:
-        for params, h, size, seed in _cases(np.random.default_rng(args.seed),
-                                            args.draws):
-            for bound in (min_steps, 0):
-                simulate._REPLAY_MIN_STEPS = bound
-                problem = _mismatch(params, h, size, seed)
-                if problem:
-                    print(f"{problem}: lam h = {params.lam * h!r}, size "
-                          f"{size}, seed {seed}, size bound {bound}",
-                          file=sys.stderr)
-                    return 1
-            replayed += params.lam * h < simulate._REPLAY_MAX_RATE
-    finally:
-        simulate._REPLAY_MIN_STEPS = min_steps
+    for params, h, size, seed in _cases(np.random.default_rng(args.seed),
+                                        args.draws):
+        problem = _mismatch(params, h, size, seed)
+        if problem:
+            print(f"{problem}: lam h = {params.lam * h!r}, size {size}, "
+                  f"seed {seed}", file=sys.stderr)
+            return 1
+        replayed += params.lam * h < simulate._REPLAY_MAX_RATE
     print(f"{args.draws} cases ({replayed} below the switch at lam h = "
           f"{simulate._REPLAY_MAX_RATE!r}) match the rng.poisson composition "
           f"and leave the stream in place (seed {args.seed})")

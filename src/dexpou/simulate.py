@@ -13,9 +13,8 @@ Randomness comes from a numpy PCG64 generator keyed by (seed, replication)
 through ``SeedSequence`` spawn keys, so each replication owns an independent
 stream and identical inputs reproduce paths bit for bit.  The counts N are
 those of ``rng.poisson(lam h, steps)``, and the stream after them is
-unchanged.  For ``lam h`` below ``_REPLAY_MAX_RATE`` on
-``_REPLAY_MIN_STEPS`` steps or more they are replayed from one bulk
-``rng.random(steps)``: numpy draws a count below 10 by
+unchanged.  For ``lam h`` below ``_REPLAY_MAX_RATE`` they are replayed
+from one bulk ``rng.random(steps)``: numpy draws a count below 10 by
 multiplying uniforms until the product falls to ``e^{-lam h}``, and a
 uniform at or below ``e^{-lam h}`` ends its step wherever it falls, so only
 the few runs of adjacent uniforms above it need a walk in Python.  At
@@ -54,13 +53,10 @@ _SPAN = 64.0
 # Largest block: bounds the factor arrays when theta * h is tiny, and keeps
 # k < 2^13 in _block_factors.
 _MAX_BLOCK = 1 << 12
-# The Poisson counts of at least _REPLAY_MIN_STEPS steps at a rate below
-# _REPLAY_MAX_RATE are replayed from one bulk uniform draw (_jump_steps).
-# Elsewhere numpy's rng.poisson is faster: the replay costs about 10 us more
-# per call, and more uniforms fall in runs as the rate grows.  numpy draws
-# counts of rate 10 and up by another method, so the rate bound must stay
-# at or below 10.
-_REPLAY_MIN_STEPS = 2000
+# The Poisson counts at a rate below _REPLAY_MAX_RATE are replayed from one
+# bulk uniform draw (_jump_steps).  Above it numpy's rng.poisson is faster:
+# more uniforms fall in runs as the rate grows.  numpy draws counts of rate
+# 10 and up by another method, so the bound must stay at or below 10.
 _REPLAY_MAX_RATE = 0.15
 
 __all__ = [
@@ -118,10 +114,10 @@ def _jump_steps(rate: float, rng: np.random.Generator,
     the steps were read from, the counts or the bulk uniforms, for the
     caller to free when the sums can take its memory.
 
-    From ``_REPLAY_MIN_STEPS`` steps at rates in ``(0, _REPLAY_MAX_RATE)``
-    the counts are replayed from one bulk ``rng.random(size)``.  numpy
-    draws a count below 10 by multiplication: a step multiplies uniforms
-    (the doubles of ``rng.random``) into ``prod``, counting a jump while
+    At rates in ``(0, _REPLAY_MAX_RATE)`` the counts are replayed from one
+    bulk ``rng.random(size)``.  numpy draws a count below 10 by
+    multiplication: a step multiplies uniforms (the doubles of
+    ``rng.random``) into ``prod``, counting a jump while
     ``prod > e^{-rate}``, so a step of N jumps takes N + 1 uniforms.  A
     uniform ``U <= e^{-rate}`` always ends its step.  A candidate
     ``U > e^{-rate}`` that starts a step is a jump, and the first of a run
@@ -132,7 +128,7 @@ def _jump_steps(rate: float, rng: np.random.Generator,
     ``size * rate`` of them, are drawn after it: a step cut by the end of
     the bulk draw by continuing its product, the rest by ``rng.poisson``.
     """
-    if size < _REPLAY_MIN_STEPS or not 0.0 < rate < _REPLAY_MAX_RATE:
+    if not 0.0 < rate < _REPLAY_MAX_RATE:
         counts = rng.poisson(rate, size)
         return np.repeat(np.arange(size), counts), counts
     limit = math.exp(-rate)  # numpy's exp(-lam): the same libm call
@@ -184,9 +180,8 @@ def draw_transition_jump_sum(params: ModelParams, h: float,
 
     The counts are those of ``rng.poisson(lam h, size)``, bit for bit, and
     the stream after them is where ``rng.poisson`` leaves it.  For small
-    ``lam h`` and ``size >= _REPLAY_MIN_STEPS`` they are replayed from one
-    bulk uniform draw (see ``_jump_steps``), which takes about half the
-    time at ``lam h = 0.02``.
+    ``lam h`` they are replayed from one bulk uniform draw (see
+    ``_jump_steps``), which takes about half the time at ``lam h = 0.02``.
     """
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h!r}")

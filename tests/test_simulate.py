@@ -18,9 +18,7 @@ from dexpou import (
     stationary_char_fn,
 )
 
-from dexpou import simulate
-from dexpou.simulate import (_MAX_BLOCK, _REPLAY_MAX_RATE, _REPLAY_MIN_STEPS,
-                             _SPAN, _ar1_in_place)
+from dexpou.simulate import _MAX_BLOCK, _REPLAY_MAX_RATE, _SPAN, _ar1_in_place
 
 from conftest import H_REF
 from oracles import composed_jump_sums, draw_double_exp, empirical_char_fn
@@ -126,28 +124,23 @@ class TestTransitionJumpSum:
         (0.3, _REPLAY_MAX_RATE, 1.0),
         (0.3, math.nextafter(_REPLAY_MAX_RATE, 1.0), 1.0),
     ])
-    def test_same_bits_as_public_draw(self, monkeypatch, p, lam, h):
-        # the composition the jump sums were first built from; with the
-        # replay's size bound lowered to 1 every size below takes it
+    def test_same_bits_as_public_draw(self, p, lam, h):
+        # the composition the jump sums were first built from
         params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=p, lam=lam)
-        for min_steps in (_REPLAY_MIN_STEPS, 1):
-            monkeypatch.setattr(simulate, "_REPLAY_MIN_STEPS", min_steps)
-            for size in (1, 2, 5_000):
-                for seed in (1, 2, 3):
-                    assert_same_draw(params, h, seed, size)
+        for size in (1, 2, 5_000):
+            for seed in (1, 2, 3):
+                assert_same_draw(params, h, seed, size)
 
     @pytest.mark.parametrize("lam, seed, size, beyond", [
         (0.02, 17, 2_000, 1), (0.14, 224, 2_000, 2), (0.14, 400, 2_000, 2),
         (0.14, 100, 2_000, 1), (0.14, 896, 2_000, 1), (0.14, 473, 2, 1)])
-    def test_bulk_draw_ending_inside_a_step(self, monkeypatch, lam, seed,
-                                            size, beyond):
+    def test_bulk_draw_ending_inside_a_step(self, lam, seed, size, beyond):
         # the last bulk uniform continues a step that ends ``beyond``
         # uniforms later: at the next uniform, or after one more jump.  At
         # seeds 100, 896 and 473 that next uniform is above e^{-lam h} and
         # only the carried product is not; the open step began at the last
         # bulk uniform (100) or at the one before it (896, 473), and at 473
         # the product from the last bulk uniform alone stays above too
-        monkeypatch.setattr(simulate, "_REPLAY_MIN_STEPS", 1)
         params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6, lam=lam)
         counts = assert_same_draw(params, 1.0, seed, size)
         ends = np.cumsum(counts + 1)  # uniforms used through each step
@@ -166,16 +159,14 @@ class TestTransitionJumpSum:
         assert_same_draw(params, 1.0, seed, size)
 
     @pytest.mark.parametrize("lam", [1.0, 10.0])  # lam h 0.02 and 0.2
-    def test_empty_and_negative_size(self, monkeypatch, lam):
+    def test_empty_and_negative_size(self, lam):
         params = ModelParams(theta=2.0, eta=1.2, phi=1.6, p=0.6, lam=lam)
         with pytest.raises(ValueError):
             draw_transition_jump_sum(params, H_REF, make_rng(16), size=-1)
-        for min_steps in (_REPLAY_MIN_STEPS, 0):
-            monkeypatch.setattr(simulate, "_REPLAY_MIN_STEPS", min_steps)
-            rng = make_rng(16)
-            got = draw_transition_jump_sum(params, H_REF, rng, size=0)
-            assert got.dtype == np.float64 and got.shape == (0,)
-            assert rng.random() == make_rng(16).random()
+        rng = make_rng(16)
+        got = draw_transition_jump_sum(params, H_REF, rng, size=0)
+        assert got.dtype == np.float64 and got.shape == (0,)
+        assert rng.random() == make_rng(16).random()
 
     def test_time_homogeneity(self, ref_params):
         # the draw law does not depend on the step position in the stream
