@@ -17,16 +17,22 @@ point: the estimates and the sample moments they were solved from.
 
 Both stages have a constant size, so their cost is per call, not per
 observation.  A is summed on Python floats and becomes an array once.  The
-delta method takes the singular values of ``grad_theta h`` once, for its
-2-norm condition number, B from one LU solve (``np.linalg.solve``) and
-Sigma from two 4x4 products.
+delta method takes B from one LU solve (``np.linalg.solve``) and Sigma from
+two 4x4 products.  ``grad_theta h`` must have a 2-norm condition number
+below ``MAX_JACOBIAN_COND``; its Frobenius number, an upper bound at most
+4 times as large, is formed from B on Python floats and proves that on
+almost every fit, so the SVD is taken only when that number reaches an
+eighth of the limit, or when ``CovarianceEstimate.jacobian_condition`` is
+read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from statistics import NormalDist
+from typing import Optional
 
 import numpy as np
 
@@ -51,6 +57,8 @@ __all__ = [
 ]
 
 MAX_JACOBIAN_COND = 1e12
+# The Frobenius number below which a Jacobian passes without its SVD.
+_FROBENIUS_GATE = MAX_JACOBIAN_COND / 8
 # Binary degrees in the path's units: of mu1..mu4, and of (p, rho, xi,
 # theta); an entry of A or Sigma has the sum of its row's and column's.
 _MOMENT_DEGREE = np.array([1, 2, 3, 2])
@@ -63,12 +71,19 @@ _SIGMA_DEGREE = _PARAM_DEGREE[:, None] + _PARAM_DEGREE
 class CovarianceEstimate:
     """Long-run covariance A of the moment averages and delta-method
     covariance Sigma of (p, rho, xi, theta), plus the number of averaged
-    terms ``n`` and the condition number of the parameter Jacobian."""
+    terms ``n`` and the parameter Jacobian ``grad_theta h`` that Sigma
+    inverts, at the standardised point of :func:`covariance_estimate`."""
 
     A: np.ndarray
     Sigma: np.ndarray
     n: int
-    jacobian_condition: float = math.nan
+    jacobian: Optional[np.ndarray] = field(default=None, repr=False)
+
+    @functools.cached_property
+    def jacobian_condition(self) -> float:
+        """The 2-norm condition number of ``jacobian``, or nan without
+        one.  Its SVD is taken when this is first read, not by the fit."""
+        return math.nan if self.jacobian is None else _condition(self.jacobian)
 
     def min_eigenvalue_ratio(self) -> float:
         """min eigenvalue of Sigma over its trace (PSD check aid)."""
@@ -135,21 +150,61 @@ def long_run_cov(series: np.ndarray, bandwidth: int) -> np.ndarray:
     return 0.5 * (A + A.T)
 
 
+def _condition(Jh: np.ndarray) -> float:
+    """The 2-norm condition number of Jh: the ratio of its extreme singular
+    values, from the same SVD that ``np.linalg.cond`` makes, without that
+    function's wrapper."""
+    sv = np.linalg.svd(Jh, compute_uv=False).tolist()
+    return sv[0] / sv[-1] if sv[-1] > 0 else math.inf
+
+
+def _frobenius_number(Jh: np.ndarray, B: np.ndarray, mu1: float,
+                      mu2: float) -> float:
+    """``||Jh||_F ||Jh^-1||_F`` on Python floats, with ``Jh^-1 = B Jt^-1``
+    for ``B = Jh^-1 Jt`` and the unit lower-triangular ``Jt`` of
+    :func:`dexpou.model.jacobian_tilde_h` at ``(mu1, mu2)``, whose inverse
+    is explicit: rows ``(1, 0, 0, 0)``, ``(2 mu1, 1, 0, 0)``,
+    ``(3 mu2, 3 mu1, 1, 0)`` and ``(2 mu1, 0, 0, 1)``.  For a 4x4 matrix
+    this lies between its 2-norm condition number and 4 times it (Golub &
+    Van Loan, Matrix Computations, section 2.3).  An overflow gives inf
+    and a non-finite B nan, never an exception."""
+    two_mu1, three_mu1, three_mu2 = 2.0 * mu1, 3.0 * mu1, 3.0 * mu2
+    inverse = 0.0
+    for b0, b1, b2, b3 in B.tolist():
+        c0 = b0 + two_mu1 * b1 + three_mu2 * b2 + two_mu1 * b3
+        c1 = b1 + three_mu1 * b2
+        inverse += c0 * c0 + c1 * c1 + b2 * b2 + b3 * b3
+    norm = sum(v * v for row in Jh.tolist() for v in row)
+    return math.sqrt(norm * inverse)
+
+
 def _delta_method(A: np.ndarray, mu, theta: float, rho: float, xi: float,
                   p: float, h: float) -> tuple:
-    """``(Sigma, cond)``: the covariance of :func:`sigma_matrix` and the
-    condition number of the parameter Jacobian it inverts, for a 4x4 float
-    array A.  ``cond`` is the 2-norm condition number: the ratio of the
-    extreme singular values, from the same SVD that ``np.linalg.cond``
-    makes, without that function's wrapper.  B comes from an LU solve."""
+    """``(Sigma, Jh)``: the covariance of :func:`sigma_matrix` for a 4x4
+    float array A, and the parameter Jacobian it inverts.  ``mu`` is read
+    for mu1 and mu2, the moments ``grad_mu h~`` depends on.
+
+    B comes from an LU solve.  Sigma is refused with
+    :class:`SingularJacobian` when Jh's 2-norm condition number is
+    ``MAX_JACOBIAN_COND`` or more, and that SVD is taken only when the
+    Frobenius number of :func:`_frobenius_number`, an upper bound of it,
+    reaches ``_FROBENIUS_GATE``: at the fits of the acceptance points it
+    is far below, so they take no SVD.  The gate sits a factor 8 under the
+    limit, so the rounding of B near it cannot decide the check, and the
+    SVD makes the same decision as ever.  A zero pivot in the solve raises
+    :class:`SingularJacobian` too."""
+    mu1, mu2 = float(mu[0]), float(mu[1])
     Jh = jacobian_h(theta, rho, xi, p, h)
-    sv = np.linalg.svd(Jh, compute_uv=False).tolist()
-    cond = sv[0] / sv[-1] if sv[-1] > 0 else math.inf
-    if not cond < MAX_JACOBIAN_COND:
-        raise SingularJacobian(cond)
-    B = np.linalg.solve(Jh, jacobian_tilde_h(mu))
+    try:
+        B = np.linalg.solve(Jh, jacobian_tilde_h((mu1, mu2)))
+    except np.linalg.LinAlgError:
+        raise SingularJacobian(_condition(Jh)) from None
+    if not _frobenius_number(Jh, B, mu1, mu2) < _FROBENIUS_GATE:
+        cond = _condition(Jh)
+        if not cond < MAX_JACOBIAN_COND:
+            raise SingularJacobian(cond)
     Sigma = B @ A @ B.T
-    return 0.5 * (Sigma + Sigma.T), cond
+    return 0.5 * (Sigma + Sigma.T), Jh
 
 
 def sigma_matrix(A: np.ndarray, mu, theta: float, rho: float, xi: float,
@@ -184,13 +239,16 @@ def covariance_estimate(path: SamplePath,
     point = (result.theta_hat, math.ldexp(result.rho_hat, -k),
              math.ldexp(result.xi_hat, -k), result.p_hat, path.h)
     A = model_long_run_cov(*point)
-    Sigma, cond = _delta_method(
-        A, np.ldexp(result.moments.to_array(), -k * _MOMENT_DEGREE), *point)
-    with np.errstate(over="ignore"):
-        A = np.ldexp(A, k * _A_DEGREE)
-        Sigma = np.ldexp(Sigma, k * _SIGMA_DEGREE)
+    moments = result.moments
+    Sigma, Jh = _delta_method(
+        A, (math.ldexp(moments.mu1, -k), math.ldexp(moments.mu2, -2 * k)),
+        *point)
+    if k:  # at k = 0, with rho and xi in [0.5, 1), there is nothing to undo
+        with np.errstate(over="ignore"):
+            A = np.ldexp(A, k * _A_DEGREE)
+            Sigma = np.ldexp(Sigma, k * _SIGMA_DEGREE)
     return CovarianceEstimate(A=A, Sigma=Sigma, n=len(path.values) - 1,
-                              jacobian_condition=cond)
+                              jacobian=Jh)
 
 
 def _reciprocal_interval(lo: float, hi: float) -> tuple:

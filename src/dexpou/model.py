@@ -102,6 +102,10 @@ class Moments:
     def to_array(self) -> np.ndarray:
         return np.array([self.mu1, self.mu2, self.mu3, self.mu4])
 
+    def tilde_h(self) -> tuple:
+        """:func:`tilde_h_map` of these moments, as Python floats."""
+        return _tilde_h(self.mu1, self.mu2, self.mu3, self.mu4)
+
 
 def stationary_char_fn(params: ModelParams, u):
     """Characteristic function of the stationary law.
@@ -182,14 +186,19 @@ def stationary_cumulants(theta: float, rho: float, xi: float,
     the r-th jump-size moment divided by r theta.  The first three give
     :func:`h_map` and the moments of :func:`analytic_moments`; the long-run
     covariance of the moment averages needs all six."""
+    return np.array(_cumulants(theta, rho, xi, p))
+
+
+def _cumulants(theta: float, rho: float, xi: float, p: float) -> list:
+    """The formulas of :func:`stationary_cumulants`, on Python floats."""
     _validate_point(theta, rho, xi, p)
     q = 1.0 - p
-    return np.array([(p * rho - q * xi) / theta,
-                     (p * rho**2 + q * xi**2) / theta,
-                     2 * (p * rho**3 - q * xi**3) / theta,
-                     6 * (p * rho**4 + q * xi**4) / theta,
-                     24 * (p * rho**5 - q * xi**5) / theta,
-                     120 * (p * rho**6 + q * xi**6) / theta])
+    return [(p * rho - q * xi) / theta,
+            (p * rho**2 + q * xi**2) / theta,
+            2 * (p * rho**3 - q * xi**3) / theta,
+            6 * (p * rho**4 + q * xi**4) / theta,
+            24 * (p * rho**5 - q * xi**5) / theta,
+            120 * (p * rho**6 + q * xi**6) / theta]
 
 
 def _moments_from_cumulants(kappa) -> list:
@@ -254,7 +263,7 @@ def _autocov_terms(theta: float, rho: float, xi: float, p: float, h: float,
     ``Gamma(lag)`` for ``lag >= 1`` or ``sum_{k>=1} Gamma(k)`` for
     ``lag=None``.  The point is validated before any exponential is taken.
     """
-    kappa = stationary_cumulants(theta, rho, xi, p).tolist()
+    kappa = _cumulants(theta, rho, xi, p)
     if not h > 0:
         raise ValueError(f"h must be > 0, got {h!r}")
     x = theta * h
@@ -333,8 +342,8 @@ def model_long_run_cov(theta: float, rho: float, xi: float, p: float,
     symmetric.
     """
     gamma0, S = _autocov_terms(theta, rho, xi, p, h)
-    return np.array([[g + (s + t) for g, s, t in zip(*rows)]
-                     for rows in zip(gamma0, S, zip(*S))])
+    return np.array([g + (s + t) for rows in zip(gamma0, S, zip(*S))
+                     for g, s, t in zip(*rows)]).reshape(4, 4)
 
 
 def h_map(theta: float, rho: float, xi: float, p: float, h: float) -> np.ndarray:
@@ -352,19 +361,20 @@ def h_map(theta: float, rho: float, xi: float, p: float, h: float) -> np.ndarray
                      math.exp(-theta * h) * kappa[1]])
 
 
+def _tilde_h(mu1, mu2, mu3, mu4) -> tuple:
+    """The formulas of :func:`tilde_h_map`, on Python floats."""
+    mu1, mu2, mu3, mu4 = float(mu1), float(mu2), float(mu3), float(mu4)
+    var = mu2 - mu1**2
+    return (mu1, var, mu3 - mu2 * mu1 - 2.0 * mu1 * var, mu4 - mu1**2)
+
+
 def tilde_h_map(mu) -> np.ndarray:
     """Moment-side map (mu1, mu2 - mu1^2, mu3 - mu2 mu1 - 2 mu1 (mu2 - mu1^2),
     mu4 - mu1^2).  ``mu`` is any length-4 sequence (mu1, mu2, mu3, mu4);
     the observation lag does not enter.  Evaluated on Python floats, so a
-    ``mu1^2`` beyond float64's range raises ``OverflowError``."""
-    mu1, mu2, mu3, mu4 = (float(m) for m in mu)
-    var = mu2 - mu1**2
-    return np.array([
-        mu1,
-        var,
-        mu3 - mu2 * mu1 - 2.0 * mu1 * var,
-        mu4 - mu1**2,
-    ])
+    ``mu1^2`` beyond float64's range raises ``OverflowError``;
+    :meth:`Moments.tilde_h` gives the same floats without the array."""
+    return np.array(_tilde_h(*mu))
 
 
 def jacobian_h(theta: float, rho: float, xi: float, p: float, h: float) -> np.ndarray:
@@ -377,24 +387,25 @@ def jacobian_h(theta: float, rho: float, xi: float, p: float, h: float) -> np.nd
     q = 1.0 - p
     decay = math.exp(-theta * h)
     s2 = p * rho**2 + q * xi**2
+    # one flat list, reshaped: numpy reads it faster than nested rows
     return np.array([
-        [(rho + xi) / theta, p / theta, -q / theta,
-         -(p * rho - q * xi) / theta**2],
-        [(rho**2 - xi**2) / theta, 2.0 * p * rho / theta, 2.0 * q * xi / theta,
-         -s2 / theta**2],
-        [2.0 * (rho**3 + xi**3) / theta, 6.0 * p * rho**2 / theta,
-         -6.0 * q * xi**2 / theta, -2.0 * (p * rho**3 - q * xi**3) / theta**2],
-        [decay * (rho**2 - xi**2) / theta, decay * 2.0 * p * rho / theta,
-         decay * 2.0 * q * xi / theta, -decay * s2 * (h + 1.0 / theta) / theta],
-    ])
+        (rho + xi) / theta, p / theta, -q / theta,
+        -(p * rho - q * xi) / theta**2,
+        (rho**2 - xi**2) / theta, 2.0 * p * rho / theta, 2.0 * q * xi / theta,
+        -s2 / theta**2,
+        2.0 * (rho**3 + xi**3) / theta, 6.0 * p * rho**2 / theta,
+        -6.0 * q * xi**2 / theta, -2.0 * (p * rho**3 - q * xi**3) / theta**2,
+        decay * (rho**2 - xi**2) / theta, decay * 2.0 * p * rho / theta,
+        decay * 2.0 * q * xi / theta, -decay * s2 * (h + 1.0 / theta) / theta,
+    ]).reshape(4, 4)
 
 
 def jacobian_tilde_h(mu) -> np.ndarray:
     """Jacobian of :func:`tilde_h_map`; rows h~1..h~4, columns mu1..mu4."""
     mu1, mu2 = float(mu[0]), float(mu[1])
     return np.array([
-        [1.0, 0.0, 0.0, 0.0],
-        [-2.0 * mu1, 1.0, 0.0, 0.0],
-        [6.0 * mu1**2 - 3.0 * mu2, -3.0 * mu1, 1.0, 0.0],
-        [-2.0 * mu1, 0.0, 0.0, 1.0],
-    ])
+        1.0, 0.0, 0.0, 0.0,
+        -2.0 * mu1, 1.0, 0.0, 0.0,
+        6.0 * mu1**2 - 3.0 * mu2, -3.0 * mu1, 1.0, 0.0,
+        -2.0 * mu1, 0.0, 0.0, 1.0,
+    ]).reshape(4, 4)

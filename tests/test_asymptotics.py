@@ -25,6 +25,7 @@ from dexpou import (
     sigma_matrix,
     simulate_path,
 )
+from dexpou import asymptotics
 from dexpou.errors import SingularJacobian
 
 from conftest import H_REF
@@ -211,6 +212,46 @@ class TestSigmaMatrix:
             sigma_matrix(np.eye(4), self.mu, theta=2.0, rho=1 / 1.2, xi=0.625,
                          p=0.6, h=1e-13)
         assert err.value.condition_number > 1e12
+
+    def test_default_fit_takes_no_svd(self, monkeypatch):
+        # the Frobenius gate passes every fit at both acceptance points
+        fits = criterion_6_fits(3000, 10)
+        assert {path.h for path, _ in fits} == {h for _, h
+                                                in CRITERION_6_POINTS}
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(asymptotics.np.linalg, "svd", no_svd)
+        for path, result in fits:
+            confidence_intervals(result, covariance_estimate(path, result))
+
+    def test_condition_just_below_the_limit_passes(self):
+        # cond 9.4e11, whose Frobenius number exceeds 1e12: the SVD decides
+        point = dict(self.point, h=1e-11)
+        Jh = jacobian_h(**point)
+        assert 2.5e11 <= np.linalg.cond(Jh) < 1e12
+        B = np.linalg.solve(Jh, jacobian_tilde_h(self.mu))
+        assert asymptotics._frobenius_number(Jh, B, *self.mu[:2]) > 1e12
+        assert np.all(np.isfinite(sigma_matrix(np.eye(4), self.mu, **point)))
+
+    @pytest.mark.parametrize("h", [1e-12, 1e-300])
+    def test_ill_conditioned_jacobian_raises(self, h):
+        # cond 9.4e12, and at h = 1e-300 rows 2 and 4 are equal: the LU
+        # solve meets a zero pivot
+        point = dict(self.point, h=h)
+        Jh = jacobian_h(**point)
+        if h == 1e-300:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(Jh, np.eye(4))
+        with pytest.raises(SingularJacobian) as err:
+            sigma_matrix(np.eye(4), self.mu, **point)
+        assert err.value.condition_number > 1e12
+        assert err.value.condition_number == np.linalg.cond(Jh)
+
+    def test_jacobian_condition_without_a_jacobian_is_nan(self):
+        cov = CovarianceEstimate(A=np.eye(4), Sigma=np.eye(4), n=10)
+        assert math.isnan(cov.jacobian_condition)
 
     def test_jacobian_condition_is_numpy_cond(self):
         # the 2-norm condition number of grad h at the standardised point
