@@ -243,10 +243,9 @@ def covariance_estimate(path: SamplePath,
     Sigma, Jh = _delta_method(
         A, (math.ldexp(moments.mu1, -k), math.ldexp(moments.mu2, -2 * k)),
         *point)
-    if k:  # at k = 0, with rho and xi in [0.5, 1), there is nothing to undo
-        with np.errstate(over="ignore"):
-            A = np.ldexp(A, k * _A_DEGREE)
-            Sigma = np.ldexp(Sigma, k * _SIGMA_DEGREE)
+    with np.errstate(over="ignore"):
+        A = np.ldexp(A, k * _A_DEGREE)
+        Sigma = np.ldexp(Sigma, k * _SIGMA_DEGREE)
     return CovarianceEstimate(A=A, Sigma=Sigma, n=len(path.values) - 1,
                               jacobian=Jh)
 

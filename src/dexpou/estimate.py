@@ -45,7 +45,7 @@ from .errors import (
     NonPositiveVariance,
     NoRoot,
 )
-from .model import Moments
+from .model import Moments, _tilde_h
 from .simulate import SamplePath
 
 __all__ = [
@@ -176,7 +176,8 @@ def estimate_theta(moments: Moments) -> float:
         if not math.isfinite(value):
             raise MomentOverflow(f"{name} = {value!r} is not finite")
     try:
-        _, var, _, autocov = moments.tilde_h()
+        _, var, _, autocov = _tilde_h(moments.mu1, moments.mu2,
+                                      moments.mu3, moments.mu4)
     except OverflowError:
         raise MomentOverflow(
             f"mu1^2 overflows float64: mu1 = {moments.mu1:.6e}") from None
@@ -197,7 +198,8 @@ def compute_f(moments: Moments, theta_hat: float) -> FVector:
     the third halved."""
     if not theta_hat > 0:
         raise ValueError(f"theta_hat must be > 0, got {theta_hat!r}")
-    mu1, var, reduced, _ = moments.tilde_h()
+    mu1, var, reduced, _ = _tilde_h(moments.mu1, moments.mu2, moments.mu3,
+                                    moments.mu4)
     return FVector(f1=theta_hat * mu1, f2=theta_hat * var,
                    f3=0.5 * theta_hat * reduced)
 

@@ -102,10 +102,6 @@ class Moments:
     def to_array(self) -> np.ndarray:
         return np.array([self.mu1, self.mu2, self.mu3, self.mu4])
 
-    def tilde_h(self) -> tuple:
-        """:func:`tilde_h_map` of these moments, as Python floats."""
-        return _tilde_h(self.mu1, self.mu2, self.mu3, self.mu4)
-
 
 def stationary_char_fn(params: ModelParams, u):
     """Characteristic function of the stationary law.
@@ -342,8 +338,8 @@ def model_long_run_cov(theta: float, rho: float, xi: float, p: float,
     symmetric.
     """
     gamma0, S = _autocov_terms(theta, rho, xi, p, h)
-    return np.array([g + (s + t) for rows in zip(gamma0, S, zip(*S))
-                     for g, s, t in zip(*rows)]).reshape(4, 4)
+    return np.array([[g + (s + t) for g, s, t in zip(*rows)]
+                     for rows in zip(gamma0, S, zip(*S))])
 
 
 def h_map(theta: float, rho: float, xi: float, p: float, h: float) -> np.ndarray:
@@ -373,7 +369,7 @@ def tilde_h_map(mu) -> np.ndarray:
     mu4 - mu1^2).  ``mu`` is any length-4 sequence (mu1, mu2, mu3, mu4);
     the observation lag does not enter.  Evaluated on Python floats, so a
     ``mu1^2`` beyond float64's range raises ``OverflowError``;
-    :meth:`Moments.tilde_h` gives the same floats without the array."""
+    :func:`_tilde_h` gives the same floats without the array."""
     return np.array(_tilde_h(*mu))
 
 
@@ -387,25 +383,24 @@ def jacobian_h(theta: float, rho: float, xi: float, p: float, h: float) -> np.nd
     q = 1.0 - p
     decay = math.exp(-theta * h)
     s2 = p * rho**2 + q * xi**2
-    # one flat list, reshaped: numpy reads it faster than nested rows
     return np.array([
-        (rho + xi) / theta, p / theta, -q / theta,
-        -(p * rho - q * xi) / theta**2,
-        (rho**2 - xi**2) / theta, 2.0 * p * rho / theta, 2.0 * q * xi / theta,
-        -s2 / theta**2,
-        2.0 * (rho**3 + xi**3) / theta, 6.0 * p * rho**2 / theta,
-        -6.0 * q * xi**2 / theta, -2.0 * (p * rho**3 - q * xi**3) / theta**2,
-        decay * (rho**2 - xi**2) / theta, decay * 2.0 * p * rho / theta,
-        decay * 2.0 * q * xi / theta, -decay * s2 * (h + 1.0 / theta) / theta,
-    ]).reshape(4, 4)
+        [(rho + xi) / theta, p / theta, -q / theta,
+         -(p * rho - q * xi) / theta**2],
+        [(rho**2 - xi**2) / theta, 2.0 * p * rho / theta, 2.0 * q * xi / theta,
+         -s2 / theta**2],
+        [2.0 * (rho**3 + xi**3) / theta, 6.0 * p * rho**2 / theta,
+         -6.0 * q * xi**2 / theta, -2.0 * (p * rho**3 - q * xi**3) / theta**2],
+        [decay * (rho**2 - xi**2) / theta, decay * 2.0 * p * rho / theta,
+         decay * 2.0 * q * xi / theta, -decay * s2 * (h + 1.0 / theta) / theta],
+    ])
 
 
 def jacobian_tilde_h(mu) -> np.ndarray:
     """Jacobian of :func:`tilde_h_map`; rows h~1..h~4, columns mu1..mu4."""
     mu1, mu2 = float(mu[0]), float(mu[1])
     return np.array([
-        1.0, 0.0, 0.0, 0.0,
-        -2.0 * mu1, 1.0, 0.0, 0.0,
-        6.0 * mu1**2 - 3.0 * mu2, -3.0 * mu1, 1.0, 0.0,
-        -2.0 * mu1, 0.0, 0.0, 1.0,
-    ]).reshape(4, 4)
+        [1.0, 0.0, 0.0, 0.0],
+        [-2.0 * mu1, 1.0, 0.0, 0.0],
+        [6.0 * mu1**2 - 3.0 * mu2, -3.0 * mu1, 1.0, 0.0],
+        [-2.0 * mu1, 0.0, 0.0, 1.0],
+    ])

@@ -53,10 +53,6 @@ _SPAN = 64.0
 # Largest block: bounds the factor arrays when theta * h is tiny, and keeps
 # k < 2^13 in _block_factors.
 _MAX_BLOCK = 1 << 12
-# Blocks up to which _scan_blocks runs on Python floats rather than numpy:
-# at 6 blocks the list passes take about 0.6 of numpy's time, and the two
-# break even near 16.
-_LIST_SCAN_BLOCKS = 16
 # The Poisson counts at a rate below _REPLAY_MAX_RATE are replayed from one
 # bulk uniform draw (_jump_steps).  Above it numpy's rng.poisson is faster:
 # more uniforms fall in runs as the rate grows.  numpy draws counts of rate
@@ -232,33 +228,6 @@ def _block_factors(rate: float) -> tuple[np.ndarray, np.ndarray]:
     return grow, shrink
 
 
-def _scan_blocks(ends: np.ndarray, factor: float, start: float) -> np.ndarray:
-    """The block end values from their true starts: ``E_b = f E_{b-1} + e_b``
-    over ``ends`` (the ``e_b``), with ``f = factor`` and ``start`` added to
-    ``e_0``, in log-many passes.  After the pass with shift s, ``E_b`` is
-    ``sum_{i < 2s} f^i e_{b-i}``; the passes end once they span all blocks
-    or ``f^s`` underflows to zero.
-
-    Up to ``_LIST_SCAN_BLOCKS`` blocks (6 at n = 1e4 and
-    ``theta h = 0.04``) the same passes run on a list of Python floats,
-    which costs less than numpy's calls there; each value is formed as
-    numpy forms it, so the bits are the same."""
-    if len(ends) > _LIST_SCAN_BLOCKS:
-        ends[0] += start
-        shift = 1
-        while shift < len(ends) and factor > 0.0:
-            ends[shift:] += factor * ends[:-shift]
-            shift, factor = 2 * shift, factor * factor
-        return ends
-    scan = ends.tolist()
-    scan[0] += start
-    shift = 1
-    while shift < len(scan) and factor > 0.0:
-        scan[shift:] = [e + factor * d for e, d in zip(scan[shift:], scan)]
-        shift, factor = 2 * shift, factor * factor
-    return np.array(scan)
-
-
 def _ar1_in_place(y: np.ndarray, rate: float, x0: float) -> np.ndarray:
     """Overwrite ``y`` with ``X_j = a X_{j-1} + y_j``, ``a = e^{-rate}``,
     ``X_{-1} = x0``, and return it.
@@ -268,9 +237,9 @@ def _ar1_in_place(y: np.ndarray, rate: float, x0: float) -> np.ndarray:
     block.  Each row is scaled by ``e^{rate k}``, and its sum gives the
     block's end value from a zero start.  The end values from the true
     starts follow from ``E_b = a^B E_{b-1} + e_b``, a scan over the blocks
-    in log-many passes (:func:`_scan_blocks`).  Each block's start
-    ``a E_{b-1}`` then enters its first element before the cumulative sum
-    along the row and the rescale by ``e^{-rate k}``.
+    in log-many vector passes.  Each block's start ``a E_{b-1}`` then
+    enters its first element before the cumulative sum along the row and
+    the rescale by ``e^{-rate k}``.
     """
     n = len(y)
     grow, shrink = _block_factors(rate)
@@ -283,8 +252,15 @@ def _ar1_in_place(y: np.ndarray, rate: float, x0: float) -> np.ndarray:
     rows *= grow
     ends = np.add.reduce(rows, axis=1)
     ends *= shrink[-1]
+    # with f = a^B: after the pass with shift s, ends[b] is
+    # sum_{i < 2s} f^i e_{b-i}, x0 entering as f x0 in e_0; the passes end
+    # once they span all blocks or f^s underflows to zero
     factor = a * float(shrink[-1])
-    ends = _scan_blocks(ends, factor, factor * x0)
+    ends[0] += factor * x0
+    shift = 1
+    while shift < len(ends) and factor > 0.0:
+        ends[shift:] += factor * ends[:-shift]
+        shift, factor = 2 * shift, factor * factor
     rows[0, 0] += a * x0
     rows[1:, 0] += a * ends[:-1]
     np.add.accumulate(rows, axis=1, out=rows)

@@ -18,7 +18,6 @@ from dexpou import (
     stationary_char_fn,
 )
 
-from dexpou import simulate
 from dexpou.simulate import _MAX_BLOCK, _REPLAY_MAX_RATE, _SPAN, _ar1_in_place
 
 from conftest import H_REF
@@ -267,23 +266,6 @@ class TestAR1Kernel:
         expect = sequential_ar1(jumps, math.exp(-rate), x0)
         got = _ar1_in_place(jumps.copy(), rate, x0)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
-
-    @pytest.mark.parametrize("rate, n, x0", [
-        (0.04, 10_250, 0.0),           # 6 blocks: the list scan by default
-        (0.04, 3_201, -2.0),
-        (2.0, 100_003, 0.3),           # 3125 blocks: numpy by default
-        (_SPAN, 5_000, 1.0),
-        (1e-4, 3 * _MAX_BLOCK + 7, 0.0),
-    ])
-    def test_list_scan_has_the_array_scans_bits(self, ref_params, monkeypatch,
-                                                rate, n, x0):
-        jumps = draw_transition_jump_sum(ref_params, H_REF, make_rng(23),
-                                         size=n)
-        monkeypatch.setattr(simulate, "_LIST_SCAN_BLOCKS", n)
-        listed = _ar1_in_place(jumps.copy(), rate, x0)
-        monkeypatch.setattr(simulate, "_LIST_SCAN_BLOCKS", 0)
-        arrayed = _ar1_in_place(jumps.copy(), rate, x0)
-        assert listed.tobytes() == arrayed.tobytes()
 
     def test_overwrites_its_input(self, ref_params):
         jumps = draw_transition_jump_sum(ref_params, H_REF, make_rng(22),
